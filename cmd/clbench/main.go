@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"clfuzz/internal/campaign"
-	"clfuzz/internal/code"
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/exhibits"
@@ -73,28 +72,6 @@ type snapshot struct {
 	VMInstructions int64  `json:"vm_instructions,omitempty"`
 	LoweredKernels uint64 `json:"lowered_kernels,omitempty"`
 	LowerFallbacks uint64 `json:"lower_fallbacks,omitempty"`
-	// FuelModel is the fuel accounting model launches resolved to (v1 =
-	// per-instruction tree-exact, v2 = per-superinstruction on the fused
-	// program), with per-model launch/dispatch counters and the fusion
-	// pass's cumulative instruction reduction. Comparisons must match on
-	// FuelModel as well as Engine: v2 dispatches fewer, fatter
-	// instructions, so raw instruction counts are not comparable across
-	// models.
-	FuelModel         string `json:"fuel_model,omitempty"`
-	FuelV1Launches    int64  `json:"fuel_v1_launches,omitempty"`
-	FuelV1Instrs      int64  `json:"fuel_v1_instructions,omitempty"`
-	FuelV2Launches    int64  `json:"fuel_v2_launches,omitempty"`
-	FuelV2Instrs      int64  `json:"fuel_v2_superinstructions,omitempty"`
-	FusedPrograms     int64  `json:"fused_programs,omitempty"`
-	FusedInstrsBefore int64  `json:"fused_instrs_before,omitempty"`
-	FusedInstrsAfter  int64  `json:"fused_instrs_after,omitempty"`
-	// Dispatch is the VM dispatch mode launches resolved to (switch =
-	// the vmLoop switch, threaded = pre-resolved handler closures), with
-	// per-mode launch counters. Outputs are byte-identical across modes,
-	// so unlike Engine/FuelModel a mismatch here only affects speed.
-	Dispatch         string `json:"dispatch,omitempty"`
-	SwitchLaunches   int64  `json:"switch_launches,omitempty"`
-	ThreadedLaunches int64  `json:"threaded_launches,omitempty"`
 	// PoolHits and PoolMisses are the executor's launch-state pool
 	// counters over the run: acquisitions served from the freelist vs by
 	// constructing a fresh state. A steady-state run is almost all hits.
@@ -108,11 +85,6 @@ type snapshot struct {
 	Mallocs         uint64 `json:"mallocs,omitempty"`
 	NumGC           uint32 `json:"num_gc,omitempty"`
 	GCPauseTotalNs  uint64 `json:"gc_pause_total_ns,omitempty"`
-	// OpStats is the -opstats section: opcode and adjacent-opcode-pair
-	// dispatch histograms collected from the Execute benchmarks, sorted
-	// by descending count (capped to the top entries). The pair table is
-	// the data the fusion pass's pattern list was chosen from.
-	OpStats *opStatsSection `json:"op_stats,omitempty"`
 	// FrontCache and BackCache are the process-wide compile-cache
 	// counters accumulated over the whole benchmark run: front-end
 	// parses and finished back-end kernels reused vs compiled.
@@ -161,12 +133,6 @@ type storeStats struct {
 	WriteErrs uint64 `json:"write_errs,omitempty"`
 }
 
-// opStatsSection is the -opstats snapshot section.
-type opStatsSection struct {
-	Ops   []exec.OpCount   `json:"ops"`
-	Pairs []exec.PairCount `json:"pairs"`
-}
-
 // fuzzStats summarizes one guided-vs-random fuzz comparison.
 type fuzzStats struct {
 	Chains        int   `json:"chains"`
@@ -207,14 +173,8 @@ func main() {
 	scale := flag.Int("scale", 6, "campaign scale for the table benchmarks")
 	baselinePath := flag.String("baseline", "", "optional snapshot to compare against (prints speedups to stderr)")
 	engineFlag := flag.String("engine", "auto", "evaluation engine for every launch: vm, tree, or auto")
-	fuelFlag := flag.String("fuel", "auto",
-		"fuel model for every launch: v1 (per-instruction), v2 (per-superinstruction on the fused program), or auto (CLFUZZ_FUEL or v1)")
 	storeDirFlag := flag.String("store", "",
 		"disk-backed result store directory (default $CLFUZZ_STORE; empty disables); the snapshot records its hit/miss/write counters")
-	opStatsFlag := flag.Bool("opstats", false,
-		"collect opcode and opcode-pair dispatch histograms from the Execute benchmarks and record them in the snapshot (forces the switch dispatch loop)")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode for every launch: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); outputs are byte-identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -224,22 +184,6 @@ func main() {
 		os.Exit(1)
 	}
 	device.DefaultEngine = engine
-	fuel, err := exec.ParseFuelModel(*fuelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if fuel != exec.FuelAuto {
-		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
-	}
 	diskStore, err := campaign.EnableStore(*storeDirFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -272,11 +216,6 @@ func main() {
 			}
 		}()
 	}
-	var ops *exec.OpStats
-	if *opStatsFlag {
-		ops = new(exec.OpStats)
-	}
-
 	bm := map[string]metrics{}
 	started := time.Now()
 
@@ -317,7 +256,7 @@ func main() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			args, result := k.Buffers()
-			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{OpStats: ops})
+			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{})
 			if rr.Outcome != device.OK {
 				b.Fatal(rr.Msg)
 			}
@@ -334,13 +273,13 @@ func main() {
 			b.Fatal(cr.Msg)
 		}
 		args, result := k.Buffers()
-		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{OpStats: ops}); rr.Outcome != device.OK {
+		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{}); rr.Outcome != device.OK {
 			b.Fatal(rr.Msg)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			args, result := k.Buffers()
-			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{OpStats: ops})
+			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{})
 			if rr.Outcome != device.OK {
 				b.Fatal(rr.Msg)
 			}
@@ -355,7 +294,7 @@ func main() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			args, result := k.Buffers()
-			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Workers: groupWorkers, OpStats: ops})
+			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Workers: groupWorkers})
 			if rr.Outcome != device.OK {
 				b.Fatal(rr.Msg)
 			}
@@ -386,15 +325,15 @@ func main() {
 				}
 			}
 		}
-		measure("BenchmarkTable1", bm, benchTable(harness.Params{Table: 1, Scale: *scale, Seed: 7, Threads: 48, Fuel: harness.DefaultFuelParam()}))
-		measure("BenchmarkTable3", bm, benchTable(harness.Params{Table: 3, Scale: 2, Seed: 11, Threads: 48, Fuel: harness.DefaultFuelParam()}))
-		measure("BenchmarkTable4", bm, benchTable(harness.Params{Table: 4, Scale: *scale, Seed: 13, Threads: 48, Fuel: harness.DefaultFuelParam()}))
-		measure("BenchmarkTable5", bm, benchTable(harness.Params{Table: 5, Scale: *scale/2 + 1, Seed: 17, Threads: 48, Fuel: harness.DefaultFuelParam()}))
+		measure("BenchmarkTable1", bm, benchTable(harness.Params{Table: 1, Scale: *scale, Seed: 7, Threads: 48}))
+		measure("BenchmarkTable3", bm, benchTable(harness.Params{Table: 3, Scale: 2, Seed: 11, Threads: 48}))
+		measure("BenchmarkTable4", bm, benchTable(harness.Params{Table: 4, Scale: *scale, Seed: 13, Threads: 48}))
+		measure("BenchmarkTable5", bm, benchTable(harness.Params{Table: 5, Scale: *scale/2 + 1, Seed: 17, Threads: 48}))
 	}
 
 	var fuzz *fuzzStats
 	if *fuzzFlag {
-		fp := harness.Params{Table: harness.FuzzTable, Scale: *fuzzScale, Seed: 23, Threads: 48, Chains: 4, Fuel: harness.DefaultFuelParam()}
+		fp := harness.Params{Table: harness.FuzzTable, Scale: *fuzzScale, Seed: 23, Threads: 48, Chains: 4}
 		guided, err := harness.RunFuzzFold(context.Background(), fp)
 		if err == nil {
 			rp := fp
@@ -447,49 +386,17 @@ func main() {
 	}
 	lowered, fallbacks := device.LowerStats()
 	vmRuns, treeRuns, vmInstrs := exec.EngineCounters()
-	v1Runs, v1Instrs, v2Runs, v2Instrs := exec.FuelCounters()
-	fusedProgs, fusedBefore, fusedAfter := code.FuseStats()
-	swRuns, thRuns := exec.DispatchCounters()
 	poolHits, poolMisses := exec.DefaultPool().Counters()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	effFuel := fuel
-	if effFuel == exec.FuelAuto {
-		effFuel = device.DefaultFuelModel
-	}
-	effDispatch := dispatch
-	if effDispatch == exec.DispatchAuto {
-		effDispatch = device.DefaultDispatch
-	}
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "FrontCache", fcHits, fcMisses, fcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "BackCache", bcHits, bcMisses, bcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "ResultCache", rcHits, rcMisses, rcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d cases %12d launches %10.1f cases/s\n", "Campaign", cases, launches, casesPerSec)
 	fmt.Fprintf(os.Stderr, "%-28s %14d lowered %12d fallbacks\n", "Lowering", lowered, fallbacks)
 	fmt.Fprintf(os.Stderr, "%-28s %14d vm %12d tree %10d vm-instrs\n", "Engine", vmRuns, treeRuns, vmInstrs)
-	fmt.Fprintf(os.Stderr, "%-28s %14d v1-runs %12d v2-runs %10d v2-instrs\n", "Fuel", v1Runs, v2Runs, v2Instrs)
-	fmt.Fprintf(os.Stderr, "%-28s %14d fused %12d before %10d after\n", "Fusion", fusedProgs, fusedBefore, fusedAfter)
-	fmt.Fprintf(os.Stderr, "%-28s %14d switch %12d threaded\n", "Dispatch", swRuns, thRuns)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses\n", "LaunchPool", poolHits, poolMisses)
 	fmt.Fprintf(os.Stderr, "%-28s %14d mallocs %12d gc-cycles %10d pause-ns\n", "GC", ms.Mallocs, ms.NumGC, ms.PauseTotalNs)
-	var opSection *opStatsSection
-	if ops != nil {
-		const topN = 32
-		oc, pc := ops.Ops(), ops.Pairs()
-		if len(oc) > topN {
-			oc = oc[:topN]
-		}
-		if len(pc) > topN {
-			pc = pc[:topN]
-		}
-		opSection = &opStatsSection{Ops: oc, Pairs: pc}
-		for i, o := range oc {
-			if i >= 8 {
-				break
-			}
-			fmt.Fprintf(os.Stderr, "%-28s %14d dispatches\n", "Op:"+o.Op, o.Count)
-		}
-	}
 	snap := snapshot{
 		Schema:                 "clfuzz-bench/v1",
 		Go:                     runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -501,24 +408,12 @@ func main() {
 		VMInstructions:         vmInstrs,
 		LoweredKernels:         lowered,
 		LowerFallbacks:         fallbacks,
-		FuelModel:              effFuel.String(),
-		FuelV1Launches:         v1Runs,
-		FuelV1Instrs:           v1Instrs,
-		FuelV2Launches:         v2Runs,
-		FuelV2Instrs:           v2Instrs,
-		FusedPrograms:          fusedProgs,
-		FusedInstrsBefore:      fusedBefore,
-		FusedInstrsAfter:       fusedAfter,
-		Dispatch:               effDispatch.String(),
-		SwitchLaunches:         swRuns,
-		ThreadedLaunches:       thRuns,
 		PoolHits:               poolHits,
 		PoolMisses:             poolMisses,
 		TotalAllocBytes:        ms.TotalAlloc,
 		Mallocs:                ms.Mallocs,
 		NumGC:                  ms.NumGC,
 		GCPauseTotalNs:         ms.PauseTotalNs,
-		OpStats:                opSection,
 		FrontCache:             &cacheStats{Hits: fcHits, Misses: fcMisses, Size: fcSize},
 		BackCache:              &cacheStats{Hits: bcHits, Misses: bcMisses, Size: bcSize},
 		ResultCache:            &cacheStats{Hits: rcHits, Misses: rcMisses, Size: rcSize},

@@ -41,10 +41,6 @@ func main() {
 	report := flag.Int("report", 10, "print a coverage progress line every N rounds")
 	engineFlag := flag.String("engine", "auto",
 		"evaluation engine: vm, tree, or auto (the tree engine collects no coverage, degrading the loop to pure swarm-random generation)")
-	fuelFlag := flag.String("fuel", "auto",
-		"fuel model: v1 (per-instruction), v2 (per-superinstruction on the fused VM program), or auto (CLFUZZ_FUEL or v1)")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); outputs are byte-identical either way")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	flag.Parse()
@@ -53,20 +49,6 @@ func main() {
 		log.Fatal(err)
 	}
 	device.DefaultEngine = engine
-	fuel, err := exec.ParseFuelModel(*fuelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fuel != exec.FuelAuto {
-		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
-	}
 	if _, err := campaign.EnableStore(*storeDir); err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +56,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	p := harness.Params{Table: harness.FuzzTable, Seed: *seed, Threads: *threads, Chains: *chainsN, Fuel: harness.DefaultFuelParam()}
+	p := harness.Params{Table: harness.FuzzTable, Seed: *seed, Threads: *threads, Chains: *chainsN}
 	chains := harness.FuzzChains(campaign.Default, p)
 	cover := new(exec.CoverMap)
 	cases, mismatches := 0, 0

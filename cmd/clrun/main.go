@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"clfuzz/internal/campaign"
-	"clfuzz/internal/code"
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/harness"
@@ -34,10 +33,6 @@ func main() {
 		"work-group fan-out budget (1 = fully serial executor; results are identical either way)")
 	engineFlag := flag.String("engine", "auto",
 		"evaluation engine: vm (register bytecode), tree (reference walker), or auto")
-	fuelFlag := flag.String("fuel", "auto",
-		"fuel model: v1 (per-instruction, tree-exact), v2 (per-superinstruction on the fused VM program), or auto (CLFUZZ_FUEL or v1)")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); outputs are byte-identical either way")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	cacheStats := flag.Bool("cachestats", false,
@@ -59,20 +54,6 @@ func main() {
 	engine, err := exec.ParseEngine(*engineFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-	fuel, err := exec.ParseFuelModel(*fuelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fuel != exec.FuelAuto {
-		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
 	}
 	if _, err := campaign.EnableStore(*storeDir); err != nil {
 		log.Fatal(err)
@@ -98,8 +79,6 @@ func main() {
 		cases, launches := campaign.Default.Counters()
 		lo, lf := device.LowerStats()
 		vmRuns, treeRuns, instrs := exec.EngineCounters()
-		fp, fb, fa := code.FuseStats()
-		v1Runs, v1Instrs, v2Runs, v2Instrs := exec.FuelCounters()
 		fmt.Fprintf(os.Stderr, "front cache:  %d hits, %d misses, %d entries\n", fh, fm, fs)
 		fmt.Fprintf(os.Stderr, "back cache:   %d hits, %d misses, %d entries\n", bh, bm, bs)
 		fmt.Fprintf(os.Stderr, "result cache: %d hits, %d misses, %d entries\n", rh, rm, rs)
@@ -115,11 +94,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaign:     %d cases, %d launches executed\n", cases, launches)
 		fmt.Fprintf(os.Stderr, "lowering:     %d programs lowered, %d tree fallbacks\n", lo, lf)
 		fmt.Fprintf(os.Stderr, "engine:       %d vm launches (%d instructions), %d tree launches\n", vmRuns, instrs, treeRuns)
-		swRuns, thRuns := exec.DispatchCounters()
-		fmt.Fprintf(os.Stderr, "dispatch:     %d switch launches, %d threaded launches\n", swRuns, thRuns)
-		fmt.Fprintf(os.Stderr, "fusion:       %d programs fused, %d instructions -> %d\n", fp, fb, fa)
-		fmt.Fprintf(os.Stderr, "fuel:         v1 %d launches (%d instructions), v2 %d launches (%d superinstructions)\n",
-			v1Runs, v1Instrs, v2Runs, v2Instrs)
 	}
 	var cov *exec.CoverMap
 	if *cover {
@@ -138,7 +112,7 @@ func main() {
 	// front/back compile caches and cross-base result cache the table
 	// campaigns use, so -cachestats reports live counters.
 	rr := campaign.Default.RunCase(cfg, !*noopt, c, campaign.LaunchOptions{
-		CheckRaces: *races, Workers: *workers, Engine: engine, FuelModel: fuel, Dispatch: dispatch, Cover: cov,
+		CheckRaces: *races, Workers: *workers, Engine: engine, Cover: cov,
 	})
 	if rr.Compile {
 		fmt.Printf("outcome: %s\n%s\n", rr.Outcome, rr.Msg)

@@ -92,10 +92,6 @@ func main() {
 		"disable straggler re-dispatch under -fleet (the speculative duplicate of the last running shard)")
 	engineFlag := flag.String("engine", "auto",
 		"evaluation engine for every campaign launch: vm, tree, or auto (campaign output is byte-identical either way)")
-	fuelFlag := flag.String("fuel", "auto",
-		"fuel model for every campaign launch: v1 (per-instruction, tree-exact), v2 (per-superinstruction on the fused VM program), or auto (CLFUZZ_FUEL or v1); campaign output is byte-identical unless a kernel times out")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode for every campaign launch: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); campaign output is byte-identical either way")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared by shard workers, fleet runs and reruns (default $CLFUZZ_STORE; empty disables); campaign output is byte-identical with or without it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -106,20 +102,6 @@ func main() {
 		log.Fatal(err)
 	}
 	device.DefaultEngine = engine
-	fuel, err := exec.ParseFuelModel(*fuelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fuel != exec.FuelAuto {
-		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -184,10 +166,7 @@ func main() {
 	}
 
 	params := func(t int) harness.Params {
-		// Params.Fuel records the non-default model only: v1 campaigns
-		// leave it empty so their shard files stay byte-identical to ones
-		// written before fuel models existed.
-		return harness.Params{Table: t, Scale: *scale, Seed: *seed, Threads: *threads, Chains: *chains, Fresh: *fresh, Fuel: harness.DefaultFuelParam()}
+		return harness.Params{Table: t, Scale: *scale, Seed: *seed, Threads: *threads, Chains: *chains, Fresh: *fresh}
 	}
 
 	if *shard != "" {
@@ -209,8 +188,6 @@ func main() {
 			checkpoint:  *checkpoint,
 			noSpeculate: *noSpeculate,
 			engine:      *engineFlag,
-			fuel:        *fuelFlag,
-			dispatch:    *dispatchFlag,
 			store:       *storeDir,
 		}); err != nil {
 			log.Fatal(err)
@@ -327,8 +304,6 @@ type fleetOptions struct {
 	checkpoint  string
 	noSpeculate bool
 	engine      string
-	fuel        string
-	dispatch    string
 	store       string
 }
 
@@ -359,8 +334,6 @@ func runFleet(ctx context.Context, p harness.Params, o fleetOptions) error {
 			"-chains", fmt.Sprint(p.Chains),
 			"-fresh="+fmt.Sprint(p.Fresh),
 			"-engine", o.engine,
-			"-fuel", o.fuel,
-			"-dispatch", o.dispatch,
 			"-store", o.store,
 			"-shard", fmt.Sprintf("%d/%d", shard, of),
 			"-out", outPath)

@@ -24,12 +24,7 @@ type resultKey struct {
 	lvl     device.Level
 	effOpt  bool
 	engine  exec.Engine
-	// fuel is the resolved fuel model — the engine-semantics version tag
-	// ROADMAP item 5 asks for. fuel/v1 and fuel/v2 results agree except
-	// at the Timeout frontier, so entries from one model must never be
-	// served to a launch under the other.
-	fuel   exec.FuelModel
-	digest uint64
+	digest  uint64
 	// cover separates covered from uncovered launches: only entries
 	// written by a covered run carry the coverage delta a covered hit
 	// must replay, so the two populations never serve each other.
@@ -211,10 +206,6 @@ func resultKeyFor(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exe
 	if engine == exec.EngineAuto {
 		engine = device.DefaultEngine
 	}
-	fuel := o.FuelModel
-	if fuel == exec.FuelAuto {
-		fuel = device.DefaultFuelModel
-	}
 	d := digest{h: 14695981039346656037}
 	for _, g := range nd.Global {
 		d.word(uint64(g))
@@ -260,7 +251,6 @@ func resultKeyFor(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exe
 		lvl:     cfg.Level(optimize),
 		effOpt:  optimize && !cfg.NoOptimizer,
 		engine:  engine,
-		fuel:    fuel,
 		digest:  d.h,
 		cover:   cover,
 	}, true

@@ -258,27 +258,3 @@ func TestDiskTierCorruptEntry(t *testing.T) {
 		t.Fatal("healed entry missed")
 	}
 }
-
-// TestDiskTierFuelModelsNeverAlias: entries persisted under fuel/v1 must
-// not serve fuel/v2 lookups — the semantics tag and the key's fuel field
-// both separate them.
-func TestDiskTierFuelModelsNeverAlias(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := store.Open(dir)
-	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
-	eng.Results.AttachStore(s)
-	cfg := device.Reference()
-	c := testCase("fuel")
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV1}); r.Cached {
-		t.Fatalf("cold v1 run hit: %+v", r)
-	}
-	s2, _ := store.Open(dir)
-	cold := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
-	cold.Results.AttachStore(s2)
-	if r := cold.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV2}); r.Cached {
-		t.Fatal("fuel/v2 lookup was served a fuel/v1 entry")
-	}
-	if r := cold.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV1}); !r.Cached {
-		t.Fatal("fuel/v1 lookup missed its own entry")
-	}
-}

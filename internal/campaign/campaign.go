@@ -188,16 +188,6 @@ type LaunchOptions struct {
 	CheckRaces bool
 	// Engine forces the evaluation engine for this run.
 	Engine exec.Engine
-	// FuelModel forces the fuel-accounting model; FuelAuto defers to
-	// device.DefaultFuelModel. The resolved model is part of the
-	// result-cache key, so fuel/v1 and fuel/v2 results never alias.
-	FuelModel exec.FuelModel
-	// Dispatch forces the VM dispatch mode; DispatchAuto defers to
-	// device.DefaultDispatch. Dispatch is observation-free (outputs, fuel
-	// totals and outcomes are byte-identical across modes, pinned by the
-	// dispatch determinism suites), so unlike the fuel model it does not
-	// enter the result-cache key.
-	Dispatch exec.Dispatch
 	// Ctx cancels the launch cooperatively: a cancelled context skips the
 	// compile/execute chain (or stops an in-flight execution at the next
 	// work-group boundary) and yields a device.Canceled result, which is
@@ -291,8 +281,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		CheckRaces: o.CheckRaces,
 		Workers:    o.Workers,
 		Engine:     o.Engine,
-		FuelModel:  o.FuelModel,
-		Dispatch:   o.Dispatch,
 		Ctx:        o.Ctx,
 		Cover:      launchCov,
 		Pool:       e.Pool,

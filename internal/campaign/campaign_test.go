@@ -197,40 +197,6 @@ kernel void k(global ulong *out, global int *in) {
 	}
 }
 
-// TestResultCacheKeysOnFuelModel: a result memoized under fuel/v1 must
-// never be served to a fuel/v2 launch (or vice versa) — the models agree
-// except at the Timeout frontier, so sharing entries would let one
-// model's timeout verdict leak into the other's campaign. Equal outputs
-// with distinct cache entries is the required shape.
-func TestResultCacheKeysOnFuelModel(t *testing.T) {
-	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
-	cfg := device.Reference()
-	c := testCase("fuel")
-	v1 := eng.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV1})
-	v2 := eng.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV2})
-	if v2.Cached {
-		t.Fatal("fuel/v2 launch was served a fuel/v1 cache entry")
-	}
-	if v1.Outcome != v2.Outcome || len(v1.Output) != len(v2.Output) {
-		t.Fatalf("models disagree on a non-timeout case: %+v vs %+v", v1, v2)
-	}
-	for i := range v1.Output {
-		if v1.Output[i] != v2.Output[i] {
-			t.Fatalf("out[%d] = %#x (v1) vs %#x (v2)", i, v1.Output[i], v2.Output[i])
-		}
-	}
-	if _, _, size := eng.Results.Stats(); size != 2 {
-		t.Fatalf("expected two distinct cache entries, got %d", size)
-	}
-	// Each model hits its own entry on re-run.
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV2}); !r.Cached {
-		t.Fatal("fuel/v2 re-run missed its own cache entry")
-	}
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{FuelModel: exec.FuelV1}); !r.Cached {
-		t.Fatal("fuel/v1 re-run missed its own cache entry")
-	}
-}
-
 // TestResultCacheSkipsCheckedRuns: race-checked launches bypass the memo
 // (their diagnostics depend on the checker).
 func TestResultCacheSkipsCheckedRuns(t *testing.T) {

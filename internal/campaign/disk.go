@@ -40,7 +40,6 @@ type diskEntry struct {
 	LvlKey  uint64 `json:"lvlKey"`
 	EffOpt  bool   `json:"effOpt"`
 	Engine  uint8  `json:"engine"`
-	Fuel    uint8  `json:"fuel"`
 	Digest  uint64 `json:"digest"`
 	Cover   bool   `json:"cover"`
 
@@ -86,7 +85,6 @@ func (k resultKey) addr(sem string) uint64 {
 		d.word(1)
 	}
 	d.word(uint64(k.engine))
-	d.word(uint64(k.fuel))
 	d.word(k.digest)
 	if k.cover {
 		d.word(1)
@@ -110,7 +108,7 @@ func (rc *ResultCache) Disk() *store.Store { return rc.disk }
 // collision on another text — is a miss; the blob-level corruption
 // counting already happened inside store.Get.
 func (rc *ResultCache) diskGet(k resultKey, src string) (UnitResult, coverDelta, bool) {
-	sem := exec.SemanticsTag(k.engine, k.fuel)
+	sem := exec.SemanticsTag(k.engine)
 	payload, ok := rc.disk.Get(k.addr(sem))
 	if !ok {
 		return UnitResult{}, coverDelta{}, false
@@ -120,7 +118,7 @@ func (rc *ResultCache) diskGet(k resultKey, src string) (UnitResult, coverDelta,
 		return UnitResult{}, coverDelta{}, false
 	}
 	if e.Sem != sem || e.SrcHash != k.srcHash || e.LvlKey != k.lvlDigest() ||
-		e.EffOpt != k.effOpt || e.Engine != uint8(k.engine) || e.Fuel != uint8(k.fuel) ||
+		e.EffOpt != k.effOpt || e.Engine != uint8(k.engine) ||
 		e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
 		return UnitResult{}, coverDelta{}, false
 	}
@@ -135,14 +133,13 @@ func (rc *ResultCache) diskGet(k resultKey, src string) (UnitResult, coverDelta,
 
 // diskPut writes one entry through to the store.
 func (rc *ResultCache) diskPut(k resultKey, src string, r UnitResult, cov coverDelta) {
-	sem := exec.SemanticsTag(k.engine, k.fuel)
+	sem := exec.SemanticsTag(k.engine)
 	e := diskEntry{
 		Sem:     sem,
 		SrcHash: k.srcHash,
 		LvlKey:  k.lvlDigest(),
 		EffOpt:  k.effOpt,
 		Engine:  uint8(k.engine),
-		Fuel:    uint8(k.fuel),
 		Digest:  k.digest,
 		Cover:   k.cover,
 		Src:     src,

@@ -88,112 +88,7 @@ const (
 	OpInitField        // Dst = kid index, A = aggregate reg, B = element reg
 	OpInitUnion        // A = aggregate reg, B = element reg (single-member union init)
 	OpInitStructDefect // A = aggregate reg: the Figure 1(a) char-first models
-
-	// Superinstructions. Emitted only by the Fuse pass (fuel/v2): each
-	// stands for the adjacent sequence named in its comment, with the
-	// intermediate value/lvalue registers elided. They never appear in
-	// freshly lowered (fuel/v1) programs.
-	OpBinImm       // Dst = reg, A = left reg, Aux *ImmInfo: OpConst+OpBinary
-	OpBinImmBr     // Dst = reg, A = left reg, B = target pc, Aux *ImmInfo: OpConst+OpBinary+OpBranchFalse
-	OpBinSlotImm   // Dst = reg, A = frame slot, Aux *ImmInfo: OpLoadSlot+OpConst+OpBinary
-	OpBinSlotImmBr // Dst = reg, A = frame slot, B = target pc, Aux *ImmInfo: OpLoadSlot+OpConst+OpBinary+OpBranchFalse
-	OpBinSlots     // Dst = reg, A = left slot, B = right slot, Aux *BinInfo: OpLoadSlot+OpLoadSlot+OpBinary
-	OpBinSlotR     // Dst = reg, A = left reg, B = right slot, Aux *BinInfo: OpLoadSlot(right)+OpBinary
-	OpBinBr        // Dst = reg, A = left reg, B = right reg, Aux *BinBrInfo: OpBinary+OpBranchFalse
-	OpLoadIdx      // Dst = reg, A = base pointer reg, B = index reg: OpLVPtrIndex+OpLVLoad
-	OpIncDecSlot   // Dst = reg, A = frame slot, B = ast.UnOp: OpLVSlot+OpIncDec
-	OpStoreSlot    // Dst = result reg or -1, A = frame slot, B = value reg, Aux *StoreInfo: OpLVSlot+…+OpStore
-	OpAggLit       // Dst = aggregate reg, Aux *AggLit: OpNewAgg + a constant initializer run (nested literals included)
-	OpAggDecl      // Dst = -1, A = frame slot, Aux *AggLit: OpDeclare + complete constant OpAggLit + OpStoreDecl
-	OpLoadCast     // Dst = reg, A = lvalue reg, Aux = cltypes.Type: OpLVLoad+OpCast
 )
-
-// opNames is indexed by Op for String and the opstats histograms.
-var opNames = [...]string{
-	OpInvalid:          "Invalid",
-	OpStep:             "Step",
-	OpJump:             "Jump",
-	OpBranchFalse:      "BranchFalse",
-	OpBoolTest:         "BoolTest",
-	OpBoolFin:          "BoolFin",
-	OpLoopEnter:        "LoopEnter",
-	OpLoopIter:         "LoopIter",
-	OpLoopExit:         "LoopExit",
-	OpReturn:           "Return",
-	OpReturnVoid:       "ReturnVoid",
-	OpReturnEnd:        "ReturnEnd",
-	OpConst:            "Const",
-	OpPredef:           "Predef",
-	OpLoadSlot:         "LoadSlot",
-	OpLoadGlobal:       "LoadGlobal",
-	OpUnary:            "Unary",
-	OpDeref:            "Deref",
-	OpIncDec:           "IncDec",
-	OpAddrLV:           "AddrLV",
-	OpAddrElem:         "AddrElem",
-	OpPtrAt:            "PtrAt",
-	OpBinary:           "Binary",
-	OpComma:            "Comma",
-	OpCondFin:          "CondFin",
-	OpSwizzle:          "Swizzle",
-	OpVecLit:           "VecLit",
-	OpCast:             "Cast",
-	OpConvert:          "Convert",
-	OpConvertFree:      "ConvertFree",
-	OpIdBuiltin:        "IdBuiltin",
-	OpWorkDim:          "WorkDim",
-	OpLinearId:         "LinearId",
-	OpBarrier:          "Barrier",
-	OpCrc64:            "Crc64",
-	OpVcrc:             "Vcrc",
-	OpAtomic:           "Atomic",
-	OpMath:             "Math",
-	OpCallPrep:         "CallPrep",
-	OpBindArg:          "BindArg",
-	OpCall:             "Call",
-	OpLVSlot:           "LVSlot",
-	OpLVGlobal:         "LVGlobal",
-	OpLVDeref:          "LVDeref",
-	OpLVPtrIndex:       "LVPtrIndex",
-	OpLVIndex:          "LVIndex",
-	OpLVArrow:          "LVArrow",
-	OpLVMember:         "LVMember",
-	OpLVSwizzle:        "LVSwizzle",
-	OpLVLoad:           "LVLoad",
-	OpStore:            "Store",
-	OpDeclare:          "Declare",
-	OpStoreDecl:        "StoreDecl",
-	OpBindLocal:        "BindLocal",
-	OpNewAgg:           "NewAgg",
-	OpInitField:        "InitField",
-	OpInitUnion:        "InitUnion",
-	OpInitStructDefect: "InitStructDefect",
-	OpBinImm:           "BinImm",
-	OpBinImmBr:         "BinImmBr",
-	OpBinSlotImm:       "BinSlotImm",
-	OpBinSlotImmBr:     "BinSlotImmBr",
-	OpBinSlots:         "BinSlots",
-	OpBinSlotR:         "BinSlotR",
-	OpBinBr:            "BinBr",
-	OpLoadIdx:          "LoadIdx",
-	OpIncDecSlot:       "IncDecSlot",
-	OpStoreSlot:        "StoreSlot",
-	OpAggLit:           "AggLit",
-	OpAggDecl:          "AggDecl",
-	OpLoadCast:         "LoadCast",
-}
-
-// String returns the opcode's mnemonic (e.g. "LoadSlot").
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return "Op(" + string('0'+byte(o/100)) + string('0'+byte(o/10%10)) + string('0'+byte(o%10)) + ")"
-}
-
-// NumOps is one past the largest opcode value; histogram arrays are
-// sized by it.
-const NumOps = int(OpLoadCast) + 1
 
 // Instr is one bytecode instruction. Cost is the fuel charged at
 // dispatch: the number of tree-walker step() calls the instruction
@@ -217,71 +112,6 @@ type ConstVal struct {
 type BinInfo struct {
 	Op ast.BinOp
 	RT cltypes.Type
-}
-
-// ImmInfo is the payload of the immediate-operand superinstructions: the
-// fused binary plus the constant right operand (the elided OpConst).
-type ImmInfo struct {
-	Bin *BinInfo
-	T   *cltypes.Scalar
-	V   uint64
-}
-
-// BinBrInfo is the payload of OpBinBr: the fused binary plus the elided
-// OpBranchFalse target.
-type BinBrInfo struct {
-	Bin    *BinInfo
-	Target int32
-}
-
-// AggLit is the payload of OpAggLit and OpAggDecl: an aggregate literal
-// whose leading run of fields — including whole nested literals — is
-// initialized from compile-time constants. Typ is the root aggregate
-// type (the elided outermost OpNewAgg's Aux); Ops replays the elided
-// initializer instructions in program order against a single cell tree.
-// Nested literals are flattened into root-relative paths: the elided
-// inner OpNewAgg trees and the deep copies their OpInitFields performed
-// are replaced by direct writes into the root tree, which is sound
-// because OpInitField's storeCell requires exact type equality and
-// copyCell is a structural value copy (the fuser checks the inner
-// literal's type against the statically derived kid type and refuses
-// the nested form on any mismatch, preserving the unfused error).
-type AggLit struct {
-	Typ cltypes.Type
-	Ops []AggOp
-}
-
-// AggOp is one elided initializer action of an AggLit, targeting the
-// cell at Path (kid indices from the root). With T non-nil it is a
-// scalar constant store — T/V from the elided OpConst, Conv from the
-// elided OpConvertFree when one followed — replayed through the same
-// storeCell as OpInitField. With Defect set it is an elided
-// OpInitStructDefect hook on the aggregate cell at Path; the VM must
-// re-check the armed defect set at run time exactly like the standalone
-// instruction.
-type AggOp struct {
-	Path   []int32
-	T      *cltypes.Scalar
-	V      uint64
-	Conv   *cltypes.Scalar
-	Defect bool
-}
-
-// AggKidType resolves the statically known type of kid index kid of an
-// aggregate of type t (nil when t is not an aggregate or kid is out of
-// range). It mirrors the cell layout the executor allocates.
-func AggKidType(t cltypes.Type, kid int32) cltypes.Type {
-	switch tt := t.(type) {
-	case *cltypes.StructT:
-		if !tt.IsUnion && kid >= 0 && int(kid) < len(tt.Fields) {
-			return tt.Fields[kid].Type
-		}
-	case *cltypes.Array:
-		if kid >= 0 && int(kid) < tt.Len {
-			return tt.Elem
-		}
-	}
-	return nil
 }
 
 // MathInfo identifies a math/safe-math builtin call site.

@@ -4,8 +4,9 @@
 //
 // # Position in the pipeline
 //
-// Lowering sits between internal/opt and internal/exec: the device
-// layer's BackCache lowers each distinct folded/optimized program once
+// Lowering sits between internal/opt and internal/exec, and Lower is the
+// whole pipeline: the VM runs its output as is. The device layer's
+// BackCache lowers each distinct folded/optimized program once
 // (alongside the checked kernel, under the same staged keys) and shares
 // the resulting code.Program with every configuration and concurrent
 // launch whose defect model compiles the source identically. Like the
@@ -19,14 +20,15 @@
 // and output, across the whole defect-model matrix. Two properties make
 // that hold by construction:
 //
-//   - One instruction per evaluation step. Every AST-node evaluation the
-//     tree walker charges fuel for lowers to exactly one instruction with
-//     Cost 1 (statement charges fold into the statement's first
-//     instruction); bookkeeping the tree walker performs for free —
-//     lvalue resolution, jumps, scope entry — lowers to Cost-0
-//     instructions. Fuel totals, and therefore Timeout outcomes, are
-//     identical on every execution path, including the do-while loop's
-//     double condition evaluation.
+//   - One instruction per evaluation step, without exception. Every
+//     AST-node evaluation the tree walker charges fuel for lowers to
+//     exactly one instruction with Cost 1 (statement charges fold into
+//     the statement's first instruction); bookkeeping the tree walker
+//     performs for free — lvalue resolution, jumps, scope entry — lowers
+//     to Cost-0 instructions. The VM charges each instruction's Cost as
+//     it dispatches it, so fuel totals, and therefore Timeout outcomes,
+//     are identical on every execution path, including the do-while
+//     loop's double condition evaluation.
 //
 //   - Pre-resolved operands, runtime-checked defects. Names resolve at
 //     lowering time to frame slots and program-global indices (no scope
@@ -45,30 +47,4 @@
 // output, since the engines agree wherever both run. The
 // FuzzLowerMatchesTree target and the engine-determinism suites pin the
 // equivalence continuously.
-//
-// # The fuel/v2 pass pipeline
-//
-// The one-instruction-per-step discipline above is what makes fuel/v1
-// tree-exact — and what seems to forbid fusing instructions. The
-// fuel/v2 model keeps the totals but batches the charging: each
-// superinstruction charges the summed Cost of the sequence it replaces
-// in a single decrement (deleted instructions fold their charge into
-// the next emitted one, only where fall-through alone reaches it), so
-// fuel totals — and Timeout outcomes — still match fuel/v1 on every
-// path, while dispatch and abort polling drop to once per
-// superinstruction. Two extra passes run over the lowered program when
-// a launch selects the model (device.Kernel memoizes the result):
-//
-//	Lower  →  Fuse (peephole superinstructions, OpStep deletion)
-//	       →  coalesce (dense register renumbering, frame shrink)
-//
-// Fuse replaces the measured hot sequences with the superinstruction
-// opcodes declared in code.go — compare-and-branch, immediate-operand
-// binaries, slot loads feeding binaries, load-through-pointer, slot
-// stores, load-then-cast, and whole constant aggregate literals
-// (OpAggLit/OpAggDecl, which also elide the literals' temporary cell
-// trees and deep copies). Outputs are identical to fuel/v1 except when
-// a timeout interrupts a fused sequence mid-flight (the superinstruction
-// is atomic, so the partial buffer state at death can differ);
-// FuzzFuseMatchesUnfused pins the equivalence continuously.
 package code

@@ -15,80 +15,6 @@ import (
 // — same outcome, same diagnostic, same buffer contents. CI runs it as a
 // short -fuzztime smoke step; the corpus seeds span every generator mode
 // including EMI blocks.
-// FuzzFuseMatchesUnfused is the fuel-model equivalence fuzz target:
-// generate a random kernel, compile it on a random configuration, and
-// run the VM under fuel/v1 (the exact lowered program) and fuel/v2 (the
-// fused superinstruction program). Whenever neither model times out the
-// two runs must agree byte for byte — same outcome, same diagnostic,
-// same buffer contents. Timeouts are the one sanctioned divergence (the
-// models charge different units), so a run where either side times out
-// is retried at a large budget and skipped only if a timeout persists
-// (a genuinely fuel-bound kernel). CI runs this as a -fuzztime smoke
-// step beside FuzzLowerMatchesTree.
-func FuzzFuseMatchesUnfused(f *testing.F) {
-	f.Add(uint8(0), uint32(42), uint8(0), false, uint8(0))
-	f.Add(uint8(1), uint32(7), uint8(3), true, uint8(0))
-	f.Add(uint8(2), uint32(11), uint8(12), true, uint8(0))
-	f.Add(uint8(3), uint32(5), uint8(17), false, uint8(2))
-	f.Add(uint8(3), uint32(1000), uint8(7), true, uint8(3))
-	modes := []generator.Mode{
-		generator.ModeBasic, generator.ModeVector, generator.ModeBarrier, generator.ModeAll,
-	}
-	cfgs := device.All()
-	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool, emi uint8) {
-		k := generator.Generate(generator.Options{
-			Mode:            modes[int(mode)%len(modes)],
-			Seed:            int64(seed),
-			MaxTotalThreads: 32,
-			EMIBlocks:       int(emi % 4),
-		})
-		cfg := cfgs[int(cfgID)%len(cfgs)]
-		cr := cfg.Compile(k.Src, optimize)
-		if cr.Outcome != device.OK {
-			return
-		}
-		if cr.Kernel.Code == nil {
-			t.Fatalf("kernel did not lower (mode %d seed %d)", mode, seed)
-		}
-		run := func(fm exec.FuelModel, baseFuel int64) device.RunResult {
-			args, result := k.Buffers()
-			return cr.Kernel.Run(k.ND, args, result, device.RunOptions{
-				Engine: exec.EngineVM, FuelModel: fm, BaseFuel: baseFuel,
-			})
-		}
-		want := run(exec.FuelV1, 0)
-		got := run(exec.FuelV2, 0)
-		if want.Outcome == device.Timeout || got.Outcome == device.Timeout {
-			// The sanctioned divergence: the models reach their budgets at
-			// different points. Both fuel-bound means nothing to compare;
-			// one-sided timeouts get one retry at a larger budget (modest,
-			// to keep per-input time bounded for the fuzz workers).
-			if want.Outcome == device.Timeout && got.Outcome == device.Timeout {
-				return
-			}
-			want = run(exec.FuelV1, 1<<20)
-			got = run(exec.FuelV2, 1<<20)
-			if want.Outcome == device.Timeout || got.Outcome == device.Timeout {
-				return
-			}
-		}
-		if got.Outcome != want.Outcome {
-			t.Fatalf("outcome: v2 %v, v1 %v (msg %q vs %q)\n%s", got.Outcome, want.Outcome, got.Msg, want.Msg, k.Src)
-		}
-		if got.Msg != want.Msg {
-			t.Fatalf("msg: v2 %q, v1 %q\n%s", got.Msg, want.Msg, k.Src)
-		}
-		if len(got.Output) != len(want.Output) {
-			t.Fatalf("output length: v2 %d, v1 %d\n%s", len(got.Output), len(want.Output), k.Src)
-		}
-		for i := range want.Output {
-			if got.Output[i] != want.Output[i] {
-				t.Fatalf("out[%d]: v2 %#x, v1 %#x\n%s", i, got.Output[i], want.Output[i], k.Src)
-			}
-		}
-	})
-}
-
 func FuzzLowerMatchesTree(f *testing.F) {
 	f.Add(uint8(0), uint32(42), uint8(0), false, uint8(0))
 	f.Add(uint8(1), uint32(7), uint8(3), true, uint8(0))

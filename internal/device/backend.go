@@ -7,7 +7,6 @@ import (
 	"clfuzz/internal/ast"
 	"clfuzz/internal/bugs"
 	"clfuzz/internal/code"
-	"clfuzz/internal/exec"
 	"clfuzz/internal/opt"
 	"clfuzz/internal/sema"
 )
@@ -61,45 +60,6 @@ type backEnd struct {
 	// declined and the kernel runs on the tree-walking engine). Like prog
 	// it is immutable and shared across configurations and launches.
 	code *code.Program
-	// fused lazily memoizes the fuel/v2 superinstruction form of code
-	// (nil exactly when code is nil): the fusion pass runs at most once
-	// per shared artifact, only in processes that actually select
-	// fuel/v2, and the fused program is as immutable and shareable as
-	// code itself.
-	fused func() *code.Program
-	// threaded and threadedFused lazily memoize the direct-threaded
-	// handler forms (exec.Thread) of code and of the fused program, built
-	// at most once per shared artifact and only in processes that select
-	// threaded dispatch. Both are nil exactly when code is nil.
-	threaded      func() *exec.ThreadedProgram
-	threadedFused func() *exec.ThreadedProgram
-}
-
-// fusedOnce wraps a lowered program in a lazy, concurrency-safe memo of
-// its fused fuel/v2 form.
-func fusedOnce(cp *code.Program) func() *code.Program {
-	if cp == nil {
-		return nil
-	}
-	return sync.OnceValue(func() *code.Program { return code.Fuse(cp) })
-}
-
-// threadedOnce wraps a lowered program in a lazy, concurrency-safe memo
-// of its direct-threaded handler form.
-func threadedOnce(cp *code.Program) func() *exec.ThreadedProgram {
-	if cp == nil {
-		return nil
-	}
-	return sync.OnceValue(func() *exec.ThreadedProgram { return exec.Thread(cp) })
-}
-
-// threadedOfFused chains the fused-program memo into a direct-threaded
-// memo, so a fuel/v2 + threaded launch builds each form exactly once.
-func threadedOfFused(fused func() *code.Program) func() *exec.ThreadedProgram {
-	if fused == nil {
-		return nil
-	}
-	return sync.OnceValue(func() *exec.ThreadedProgram { return exec.Thread(fused()) })
 }
 
 // checkedKey addresses the sema stage: defects is masked to semaDefects.
@@ -126,12 +86,9 @@ type progKey struct {
 }
 
 type progEntry struct {
-	src           string
-	prog          *ast.Program
-	code          *code.Program
-	fused         func() *code.Program
-	threaded      func() *exec.ThreadedProgram
-	threadedFused func() *exec.ThreadedProgram
+	src  string
+	prog *ast.Program
+	code *code.Program
 }
 
 // Lowering counters: programs lowered to bytecode vs programs that fell
@@ -263,8 +220,7 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 		return be
 	}
 	pe := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & foldDefects, optimize: effOpt}, fe, ce.prog)
-	be.prog, be.code, be.fused = pe.prog, pe.code, pe.fused
-	be.threaded, be.threadedFused = pe.threaded, pe.threadedFused
+	be.prog, be.code = pe.prog, pe.code
 	be.info = ce.info
 	return be
 }
@@ -316,9 +272,6 @@ func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) *p
 		prog = opt.Optimize(prog, key.defects)
 	}
 	ne := &progEntry{src: fe.Canon, prog: prog, code: lowerProgram(prog)}
-	ne.fused = fusedOnce(ne.code)
-	ne.threaded = threadedOnce(ne.code)
-	ne.threadedFused = threadedOfFused(ne.fused)
 	if !collided {
 		bc.mu.Lock()
 		if _, ok := bc.progs[key]; !ok {
@@ -402,8 +355,5 @@ func compileBackEnd(fe *FrontEnd, lvl Level, optimize bool) *backEnd {
 	}
 	be.prog, be.info = prog, info
 	be.code = lowerProgram(prog)
-	be.fused = fusedOnce(be.code)
-	be.threaded = threadedOnce(be.code)
-	be.threadedFused = threadedOfFused(be.fused)
 	return be
 }

@@ -79,26 +79,6 @@ type Kernel struct {
 	Code  *code.Program
 	Hash  uint64
 	level Level
-	// fused lazily derives (and memoizes, alongside Code in the shared
-	// back-end artifact) the fuel/v2 superinstruction form of Code. Nil
-	// exactly when Code is nil.
-	fused func() *code.Program
-	// threaded and threadedFused lazily derive the direct-threaded handler
-	// forms of Code and of the fused program, memoized in the shared
-	// back-end artifact like fused. Nil exactly when Code is nil.
-	threaded      func() *exec.ThreadedProgram
-	threadedFused func() *exec.ThreadedProgram
-}
-
-// FusedCode returns the fuel/v2 superinstruction form of the kernel's
-// bytecode, deriving it on first use and sharing the memoized copy with
-// every kernel built from the same back-end artifact. It returns nil
-// when the kernel has no lowered program.
-func (k *Kernel) FusedCode() *code.Program {
-	if k.fused == nil {
-		return nil
-	}
-	return k.fused()
 }
 
 // DefaultEngine is the process-wide engine selection applied when
@@ -117,49 +97,6 @@ func init() {
 		panic("device: bad CLFUZZ_ENGINE: " + err.Error())
 	}
 	DefaultEngine = e
-}
-
-// DefaultFuelModel is the process-wide fuel model applied when
-// RunOptions.FuelModel is FuelAuto: fuel/v1 (tree-exact accounting) by
-// default, so the paper tables and every byte-identity suite are
-// untouched. The CLFUZZ_FUEL environment variable ("v1" or "v2")
-// overrides it at startup — how CI's fuel/v2 determinism job pins the
-// superinstruction model — and the campaign binaries expose it as a
-// -fuel flag.
-var DefaultFuelModel = exec.FuelV1
-
-func init() {
-	fm, err := exec.ParseFuelModel(os.Getenv("CLFUZZ_FUEL"))
-	if err != nil {
-		// Same reasoning as CLFUZZ_ENGINE: a misspelled override must not
-		// silently run the wrong fuel model under a determinism suite.
-		panic("device: bad CLFUZZ_FUEL: " + err.Error())
-	}
-	if fm != exec.FuelAuto {
-		DefaultFuelModel = fm
-	}
-}
-
-// DefaultDispatch is the process-wide VM dispatch mode applied when
-// RunOptions.Dispatch is DispatchAuto: the switch loop by default, so
-// every existing suite and table is untouched. The CLFUZZ_DISPATCH
-// environment variable ("switch" or "threaded") overrides it at startup
-// — how CI's threaded-dispatch determinism job pins the handler loop —
-// and the campaign binaries expose it as a -dispatch flag. Dispatch is
-// observation-free: outputs, fuel totals and outcomes are byte-identical
-// across modes.
-var DefaultDispatch = exec.DispatchAuto
-
-func init() {
-	d, err := exec.ParseDispatch(os.Getenv("CLFUZZ_DISPATCH"))
-	if err != nil {
-		// Same reasoning as CLFUZZ_ENGINE: a misspelled override must not
-		// silently run the wrong dispatch mode under a determinism suite.
-		panic("device: bad CLFUZZ_DISPATCH: " + err.Error())
-	}
-	if d != exec.DispatchAuto {
-		DefaultDispatch = d
-	}
 }
 
 // Compile runs the configuration's online compiler on kernel source:
@@ -219,16 +156,13 @@ func (c *Config) compileFE(fe *FrontEnd, optimize bool, bc *BackCache) CompileRe
 	return CompileResult{
 		Outcome: OK,
 		Kernel: &Kernel{
-			Config:        c,
-			Optimized:     optimize,
-			Prog:          be.prog,
-			Info:          be.info,
-			Code:          be.code,
-			Hash:          fe.Hash,
-			level:         lvl,
-			fused:         be.fused,
-			threaded:      be.threaded,
-			threadedFused: be.threadedFused,
+			Config:    c,
+			Optimized: optimize,
+			Prog:      be.prog,
+			Info:      be.info,
+			Code:      be.code,
+			Hash:      fe.Hash,
+			level:     lvl,
 		},
 	}
 }
@@ -263,16 +197,6 @@ type RunOptions struct {
 	// zero value) defers to DefaultEngine, under which lowered kernels
 	// run on the register VM. Outputs are byte-identical either way.
 	Engine exec.Engine
-	// FuelModel selects the fuel-accounting model; FuelAuto (the zero
-	// value) defers to DefaultFuelModel. fuel/v1 charges tree-exact
-	// costs; fuel/v2 runs the fused superinstruction program and charges
-	// one unit per dispatch. Outputs are identical across models
-	// whenever neither times out; the Timeout frontier differs, so each
-	// model is only byte-identical to itself. Kernels without lowered
-	// bytecode (and launches forced onto the tree engine) execute the
-	// tree walk with v1 accounting regardless — deterministically, since
-	// the model resolution depends only on options and the kernel.
-	FuelModel exec.FuelModel
 	// Ctx cancels the launch cooperatively at work-group boundaries; a
 	// launch stopped this way reports the Canceled outcome. nil runs to
 	// completion.
@@ -282,17 +206,6 @@ type RunOptions struct {
 	// are byte-identical with coverage on or off. Launches that resolve
 	// to the tree engine record nothing (coverage-off fallback).
 	Cover *exec.CoverMap
-	// OpStats, when non-nil, accumulates dynamic opcode and opcode-pair
-	// dispatch histograms for the launch (clbench -opstats). Observation
-	// only, VM only, like Cover.
-	OpStats *exec.OpStats
-	// Dispatch selects the VM dispatch mode; DispatchAuto (the zero
-	// value) defers to DefaultDispatch. Under DispatchThreaded, launches
-	// of lowered kernels run the direct-threaded handler loop with the
-	// memoized handler program matching the selected fuel model's code;
-	// outputs, fuel totals and outcomes are byte-identical to the switch
-	// loop.
-	Dispatch exec.Dispatch
 	// Pool selects the executor launch-state pool this run recycles its
 	// working set through; nil uses the executor's process-wide pool.
 	// Pooling is observation-free.
@@ -326,43 +239,13 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	if engine == exec.EngineAuto {
 		engine = DefaultEngine
 	}
-	fm := ro.FuelModel
-	if fm == exec.FuelAuto {
-		fm = DefaultFuelModel
-	}
-	// The fuel model is a property of which program the VM dispatches:
-	// fuel/v2 substitutes the fused superinstruction form, whose
-	// per-instruction costs implement per-dispatch charging through the
-	// unchanged dispatch loop. Tree-engine launches (forced, or lowering
-	// fallback) keep v1 accounting.
-	kcode := k.Code
-	fused := fm == exec.FuelV2 && kcode != nil && engine != exec.EngineTree
-	if fused {
-		kcode = k.fused()
-	}
-	dispatch := ro.Dispatch
-	if dispatch == exec.DispatchAuto {
-		dispatch = DefaultDispatch
-	}
-	// Threaded dispatch hands the executor the memoized handler program
-	// built from the exact instruction stream it will run — the fused
-	// form under fuel/v2, the raw lowering otherwise.
-	var threaded *exec.ThreadedProgram
-	if dispatch == exec.DispatchThreaded && kcode != nil {
-		if fused {
-			threaded = k.threadedFused()
-		} else {
-			threaded = k.threaded()
-		}
-	}
 	opts := exec.Options{
 		Defects:    lvl.Defects,
 		Hash:       k.Hash,
 		Fuel:       int64(float64(fuel) * ff),
 		CheckRaces: ro.CheckRaces,
-		Code:       kcode,
+		Code:       k.Code,
 		Engine:     engine,
-		FuelModel:  fm,
 		Ctx:        ro.Ctx,
 		// Barrier-free kernels (the common case for generated tests) take
 		// the executor's goroutine-free sequential fast path.
@@ -374,9 +257,6 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		Workers:    ro.Workers,
 		HasFwdDecl: k.Info.HasFwdDecl,
 		Cover:      ro.Cover,
-		OpStats:    ro.OpStats,
-		Dispatch:   dispatch,
-		Threaded:   threaded,
 		Pool:       ro.Pool,
 	}
 	err := exec.Run(k.Prog, nd, args, opts)

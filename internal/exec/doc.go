@@ -20,7 +20,9 @@
 //     lowered program from internal/code) dispatches a flat instruction
 //     stream with operands pre-resolved to frame slots, flat-buffer word
 //     offsets, field indices and function indices — no AST walk, no
-//     scope-chain scan, no VarRef slot cache on the hot path.
+//     scope-chain scan, no VarRef slot cache on the hot path. It has one
+//     dispatch loop (vmLoop, a switch over the opcode) and one fuel
+//     model: each instruction charges its lowered Cost as it dispatches.
 //   - The tree walker (Options.Engine == EngineTree, or any program the
 //     lowerer declined) recursively evaluates the AST. It is the
 //     reference: the VM's instruction costs mirror its step() charges
@@ -51,7 +53,10 @@
 //     own failure domain, and the launch verdict is the error of the
 //     lowest-numbered failing group — exactly what the serial schedule
 //     would report. Within each group the per-group mode (sequential or
-//     barrier machinery) is unchanged.
+//     barrier machinery) is unchanged. TestThreadedMatchesSwitch and the
+//     FuzzThreadedMatchesSwitch target pin the fan-out against the serial
+//     schedule: same verdict and, for completed launches, same buffers,
+//     fuel high-water mark and coverage.
 //   - Lockstep goroutine-per-thread: kernels that reach barriers (and
 //     any race-checked launch) run each work-group's threads on
 //     goroutines synchronized by a collective barrier object with

@@ -1,11 +1,15 @@
 package exec_test
 
 import (
+	"fmt"
 	"testing"
 
+	"clfuzz/internal/ast"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/code"
+	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
+	"clfuzz/internal/generator"
 	"clfuzz/internal/parser"
 	"clfuzz/internal/sema"
 )
@@ -273,4 +277,183 @@ kernel void k(global ulong *out, global uint *ctr) {
 	if got := ctr.Scalar(2); got != 9 {
 		t.Errorf("ctr[2] = %d, want 9", got)
 	}
+}
+
+// threadedRun is one launch observed every way the executor can be
+// observed: buffer contents, run error, fuel high-water mark, the
+// coverage edge set and the defect-site hit counts.
+type threadedRun struct {
+	out   []uint64
+	err   error
+	steps int64
+	edges []uint32
+	sites [exec.CoverNumSites]uint64
+}
+
+// launchObserved executes an already-lowered program on the VM with the
+// given work-group fan-out budget and every observation hook armed.
+func launchObserved(prog *ast.Program, info *sema.Info, cp *code.Program, nd exec.NDRange, fuel int64, workers int) threadedRun {
+	out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
+	var st exec.Stats
+	cov := &exec.CoverMap{}
+	runErr := exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
+		NoBarrier:  !info.HasBarrier,
+		NoAtomics:  !info.HasAtomic,
+		HasFwdDecl: info.HasFwdDecl,
+		Workers:    workers,
+		Fuel:       fuel,
+		Code:       cp,
+		Engine:     exec.EngineVM,
+		Stats:      &st,
+		Cover:      cov,
+	})
+	return threadedRun{out: out.Scalars(), err: runErr, steps: st.MaxThreadSteps, edges: cov.Edges(), sites: cov.SiteHits()}
+}
+
+// TestThreadedMatchesSwitch pins the fan-out contract on every
+// observation, not just buffer contents: on every kernel shape, NDRange
+// and fuel budget, a launch whose work-groups run concurrently on worker
+// goroutines (threaded) reports exactly what the serial schedule — every
+// group through the switch loop on the calling goroutine — reports:
+// the same error (including the fuel-exhaustion verdict) and, when the
+// launch completes, identical buffer contents, Stats fuel high-water
+// mark, coverage edge set and defect-site hit counts. A failing launch
+// is compared on its verdict alone: the fan-out may run later groups
+// further before the lowest failing group's error is reported.
+func TestThreadedMatchesSwitch(t *testing.T) {
+	exec.SetDebugImmutable(true)
+	t.Cleanup(func() { exec.SetDebugImmutable(false) })
+	nds := []exec.NDRange{
+		{Global: [3]int{16, 1, 1}, Local: [3]int{4, 1, 1}},
+		{Global: [3]int{8, 2, 1}, Local: [3]int{2, 2, 1}},
+	}
+	all := append(append([]struct{ name, src string }{}, parallelKernels...), engineKernels...)
+	for _, k := range all {
+		prog, err := parser.Parse(k.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", k.name, err)
+		}
+		prog, info, err := sema.Check(prog, 0)
+		if err != nil {
+			t.Fatalf("%s: sema: %v", k.name, err)
+		}
+		lowered, err := code.Lower(prog)
+		if err != nil {
+			t.Fatalf("%s: lower: %v", k.name, err)
+		}
+		for _, nd := range nds {
+			for _, fuel := range []int64{0, 700} {
+				want := launchObserved(prog, info, lowered, nd, fuel, 1)
+				for _, workers := range []int{2, 8} {
+					got := launchObserved(prog, info, lowered, nd, fuel, workers)
+					label := fmt.Sprintf("%s nd=%v budget=%d workers=%d", k.name, nd.Global, fuel, workers)
+					requireSameRun(t, label, got, want)
+				}
+			}
+		}
+	}
+}
+
+func requireSameRun(t *testing.T, label string, got, want threadedRun) {
+	t.Helper()
+	if (got.err == nil) != (want.err == nil) {
+		t.Fatalf("%s: threaded err %v, serial err %v", label, got.err, want.err)
+	}
+	if want.err != nil {
+		if got.err.Error() != want.err.Error() {
+			t.Fatalf("%s: threaded err %q, serial err %q", label, got.err, want.err)
+		}
+		return
+	}
+	for i := range want.out {
+		if got.out[i] != want.out[i] {
+			t.Fatalf("%s: out[%d] = %d, want %d", label, i, got.out[i], want.out[i])
+		}
+	}
+	if got.steps != want.steps {
+		t.Fatalf("%s: threaded charged %d steps, serial charged %d", label, got.steps, want.steps)
+	}
+	if len(got.edges) != len(want.edges) {
+		t.Fatalf("%s: threaded hit %d edges, serial hit %d", label, len(got.edges), len(want.edges))
+	}
+	for i := range want.edges {
+		if got.edges[i] != want.edges[i] {
+			t.Fatalf("%s: edge[%d] = %#x, want %#x", label, i, got.edges[i], want.edges[i])
+		}
+	}
+	if got.sites != want.sites {
+		t.Fatalf("%s: threaded site hits %v, serial %v", label, got.sites, want.sites)
+	}
+}
+
+// FuzzThreadedMatchesSwitch is the fan-out equivalence fuzz target:
+// generate a random kernel, compile it on a random configuration
+// (arming that configuration's defect models and optimization
+// pipeline), and run it on the VM twice — serially, every work-group
+// through the switch loop on the calling goroutine, and threaded, with
+// the groups fanned out over a random worker budget. There is no
+// sanctioned divergence: outcome (including Timeout), diagnostic, buffer
+// contents and, for completed launches, the coverage edge set must agree
+// byte for byte. Kernels are generated up to 64 threads so NDRanges span
+// several work-groups, the shape the fan-out actually parallelizes.
+func FuzzThreadedMatchesSwitch(f *testing.F) {
+	f.Add(uint8(0), uint32(42), uint8(0), false, uint8(0))
+	f.Add(uint8(1), uint32(7), uint8(3), true, uint8(1))
+	f.Add(uint8(2), uint32(11), uint8(12), true, uint8(0))
+	f.Add(uint8(3), uint32(5), uint8(17), false, uint8(1))
+	f.Add(uint8(3), uint32(1000), uint8(7), true, uint8(6))
+	modes := []generator.Mode{
+		generator.ModeBasic, generator.ModeVector, generator.ModeBarrier, generator.ModeAll,
+	}
+	cfgs := device.All()
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool, workerSel uint8) {
+		k := generator.Generate(generator.Options{
+			Mode:            modes[int(mode)%len(modes)],
+			Seed:            int64(seed),
+			MaxTotalThreads: 64,
+		})
+		cfg := cfgs[int(cfgID)%len(cfgs)]
+		cr := cfg.Compile(k.Src, optimize)
+		if cr.Outcome != device.OK {
+			return
+		}
+		if cr.Kernel.Code == nil {
+			t.Fatalf("kernel did not lower (mode %d seed %d)", mode, seed)
+		}
+		run := func(workers int) (device.RunResult, []uint32) {
+			args, result := k.Buffers()
+			cov := &exec.CoverMap{}
+			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{
+				Engine: exec.EngineVM, Workers: workers, Cover: cov,
+			})
+			return rr, cov.Edges()
+		}
+		want, wantEdges := run(1)
+		got, gotEdges := run(2 + int(workerSel%7))
+		if got.Outcome != want.Outcome {
+			t.Fatalf("outcome: threaded %v, serial %v (msg %q vs %q)\n%s", got.Outcome, want.Outcome, got.Msg, want.Msg, k.Src)
+		}
+		if got.Msg != want.Msg {
+			t.Fatalf("msg: threaded %q, serial %q\n%s", got.Msg, want.Msg, k.Src)
+		}
+		if len(got.Output) != len(want.Output) {
+			t.Fatalf("output length: threaded %d, serial %d\n%s", len(got.Output), len(want.Output), k.Src)
+		}
+		for i := range want.Output {
+			if got.Output[i] != want.Output[i] {
+				t.Fatalf("out[%d]: threaded %#x, serial %#x\n%s", i, got.Output[i], want.Output[i], k.Src)
+			}
+		}
+		if want.Outcome != device.OK {
+			return
+		}
+		if len(gotEdges) != len(wantEdges) {
+			t.Fatalf("coverage: threaded hit %d edges, serial %d\n%s", len(gotEdges), len(wantEdges), k.Src)
+		}
+		for i := range wantEdges {
+			if gotEdges[i] != wantEdges[i] {
+				t.Fatalf("edge[%d]: threaded %#x, serial %#x\n%s", i, gotEdges[i], wantEdges[i], k.Src)
+			}
+		}
+	})
 }

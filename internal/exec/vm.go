@@ -47,65 +47,17 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("exec: unknown engine %q (want tree, vm, or auto)", s)
 }
 
-// FuelModel selects the fuel-accounting model of a launch. fuel/v1 is
-// tree-exact: the VM charges the same fuel the reference tree walker
-// would on every path, so Timeout outcomes — and therefore the paper
-// tables — are byte-identical across engines. fuel/v2 runs the fused
-// form of the program (see code.Fuse), charging each superinstruction
-// the conserved summed cost of the sequence it replaced in a single
-// decrement — fuel totals and Timeout outcomes match fuel/v1, while
-// dispatch, polling and the fused sequences' temporaries are paid once
-// per superinstruction. It is deterministic with itself across
-// runs/processes/shards, and identical to fuel/v1 in outputs whenever
-// no timeout interrupts a fused sequence mid-flight.
-type FuelModel uint8
-
-// Fuel models. FuelAuto defers to the embedding layer's default
-// (device.DefaultFuelModel, settable via CLFUZZ_FUEL); the explicit
-// values pin one model for determinism suites and the paper tables.
-const (
-	FuelAuto FuelModel = iota
-	FuelV1
-	FuelV2
-)
-
-// String returns the flag spelling of the fuel model.
-func (f FuelModel) String() string {
-	switch f {
-	case FuelV1:
-		return "v1"
-	case FuelV2:
-		return "v2"
-	}
-	return "auto"
-}
-
-// ParseFuelModel parses a -fuel flag or CLFUZZ_FUEL value.
-func ParseFuelModel(s string) (FuelModel, error) {
-	switch s {
-	case "", "auto":
-		return FuelAuto, nil
-	case "v1":
-		return FuelV1, nil
-	case "v2":
-		return FuelV2, nil
-	}
-	return FuelAuto, fmt.Errorf("exec: unknown fuel model %q (want v1, v2, or auto)", s)
-}
-
 // SemanticsTag names the evaluation semantics a persisted launch result
-// depends on: the resolved engine, the resolved fuel model, and a
-// revision prefix bumped whenever either engine's observable behaviour
-// changes. The disk result store stamps every entry with this tag and
-// never serves an entry written under a different one, so semantics
-// changes invalidate stale results by construction instead of by
-// deleting store directories. Auto is a legitimate tag value: launch
-// results are pinned byte-identical across engines, and an Auto fuel
-// model resolves to the embedding layer's default before the key is
-// built — but explicit and Auto selections never alias, which keeps the
-// engine-comparison suites honest across processes.
-func SemanticsTag(e Engine, f FuelModel) string {
-	return "sem1/" + e.String() + "/" + f.String()
+// depends on: the resolved engine and a revision prefix bumped whenever
+// either engine's observable behaviour changes. The disk result store
+// stamps every entry with this tag and never serves an entry written
+// under a different one, so semantics changes invalidate stale results
+// by construction instead of by deleting store directories. Auto is a
+// legitimate tag value: launch results are pinned byte-identical across
+// engines, but explicit and Auto selections never alias, which keeps
+// the engine-comparison suites honest across processes.
+func SemanticsTag(e Engine) string {
+	return "sem1/" + e.String()
 }
 
 // Process-wide engine counters, reported by EngineCounters: which engine
@@ -116,11 +68,6 @@ var (
 	vmLaunches     atomic.Int64
 	treeLaunches   atomic.Int64
 	vmInstructions atomic.Int64
-	// fuel/v2 slices of the two VM counters above (fuel/v1 is the
-	// remainder), so snapshots can show the superinstruction dispatch
-	// reduction next to the wall-time win.
-	vmLaunchesV2     atomic.Int64
-	vmInstructionsV2 atomic.Int64
 )
 
 // EngineCounters reports the cumulative per-process engine counters: the
@@ -128,15 +75,6 @@ var (
 // total bytecode instructions the VM dispatched.
 func EngineCounters() (vmRuns, treeRuns, instructions int64) {
 	return vmLaunches.Load(), treeLaunches.Load(), vmInstructions.Load()
-}
-
-// FuelCounters splits the VM counters by fuel model: launches and
-// dispatched instructions under fuel/v1 (tree-exact costs) and fuel/v2
-// (fused superinstructions).
-func FuelCounters() (v1Runs, v1Instrs, v2Runs, v2Instrs int64) {
-	runs, instrs := vmLaunches.Load(), vmInstructions.Load()
-	r2, i2 := vmLaunchesV2.Load(), vmInstructionsV2.Load()
-	return runs - r2, instrs - i2, r2, i2
 }
 
 // vmFrame is one activation record: the lowered function, its variable
@@ -151,9 +89,6 @@ type vmFrame struct {
 	retPC    int
 	retDst   int32
 	iterBase int
-	// retH is the caller's continuation entry under direct-threaded
-	// dispatch (see vmthread.go); the switch loop leaves it nil.
-	retH *vmEntry
 }
 
 // vmPending is a callee frame under construction: OpCallPrep allocates
@@ -176,9 +111,6 @@ type vmState struct {
 	slotStack []*Cell
 	frames    []vmFrame
 	pending   []vmPending
-	// ts is the direct-threaded dispatcher's shared mutable state,
-	// embedded here so a threaded launch allocates nothing extra.
-	ts vmTState
 }
 
 func (vm *vmState) reset() {
@@ -249,16 +181,8 @@ func (t *thread) runVMKernel() error {
 	vm.frames = append(vm.frames, vmFrame{
 		fn: kf, slots: slots, slotBase: slotBase, retPC: -1, retDst: -1,
 	})
-	var err error
-	if t.m.threaded != nil {
-		err = t.vmThreadedLoop(vm)
-	} else {
-		err = t.vmLoop(vm)
-	}
+	err := t.vmLoop(vm)
 	vmInstructions.Add(t.vmInstrs)
-	if t.m.opts.FuelModel == FuelV2 {
-		vmInstructionsV2.Add(t.vmInstrs)
-	}
 	t.vmInstrs = 0
 	return err
 }
@@ -284,18 +208,10 @@ func (t *thread) vmLoop(vm *vmState) error {
 	// cov is nil for coverage-off launches: the only cost the hooks add
 	// then is a nil check inside the two branch-taken cases.
 	cov := t.m.opts.Cover
-	// stats is nil outside clbench -opstats runs; the histograms cost
-	// one nil check per dispatch when off.
-	stats := t.m.opts.OpStats
-	var prevOp code.Op
 	pc := 0
 	for {
 		in := &ins[pc]
 		t.vmInstrs++
-		if stats != nil {
-			stats.note(prevOp, in.Op)
-			prevOp = in.Op
-		}
 		if in.Cost != 0 {
 			t.fuel -= int64(in.Cost)
 			if t.fuel <= 0 {
@@ -844,159 +760,6 @@ func (t *thread) vmLoop(vm *vmState) error {
 				}
 			}
 
-		// Superinstructions (fuel/v2 fused programs only). Each arm
-		// replays its constituent ops' semantics exactly — same
-		// evaluation order, same race notes, same error messages — with
-		// the intermediate register traffic elided.
-
-		case code.OpBinImm, code.OpBinImmBr:
-			ii := in.Aux.(*code.ImmInfo)
-			rv := Value{T: ii.T, Scalar: ii.V}
-			if err := t.vmBinaryOp(ii.Bin, &regs[in.A], &rv, &regs[in.Dst]); err != nil {
-				return err
-			}
-			if in.Op == code.OpBinImmBr && !regs[in.Dst].isTrue() {
-				if cov != nil {
-					cov.hitEdge(fr.fn.Idx, int32(pc), in.B)
-				}
-				pc = int(in.B)
-				continue
-			}
-
-		case code.OpBinSlotImm, code.OpBinSlotImmBr:
-			ii := in.Aux.(*code.ImmInfo)
-			var lv Value
-			if err := t.vmSlotVal(fr.slots[in.A], &lv); err != nil {
-				return err
-			}
-			rv := Value{T: ii.T, Scalar: ii.V}
-			if err := t.vmBinaryOp(ii.Bin, &lv, &rv, &regs[in.Dst]); err != nil {
-				return err
-			}
-			if in.Op == code.OpBinSlotImmBr && !regs[in.Dst].isTrue() {
-				if cov != nil {
-					cov.hitEdge(fr.fn.Idx, int32(pc), in.B)
-				}
-				pc = int(in.B)
-				continue
-			}
-
-		case code.OpBinSlots:
-			bi := in.Aux.(*code.BinInfo)
-			var lv, rv Value
-			if err := t.vmSlotVal(fr.slots[in.A], &lv); err != nil {
-				return err
-			}
-			if err := t.vmSlotVal(fr.slots[in.B], &rv); err != nil {
-				return err
-			}
-			if err := t.vmBinaryOp(bi, &lv, &rv, &regs[in.Dst]); err != nil {
-				return err
-			}
-
-		case code.OpBinSlotR:
-			bi := in.Aux.(*code.BinInfo)
-			var rv Value
-			if err := t.vmSlotVal(fr.slots[in.B], &rv); err != nil {
-				return err
-			}
-			if err := t.vmBinaryOp(bi, &regs[in.A], &rv, &regs[in.Dst]); err != nil {
-				return err
-			}
-
-		case code.OpBinBr:
-			bb := in.Aux.(*code.BinBrInfo)
-			if err := t.vmBinaryOp(bb.Bin, &regs[in.A], &regs[in.B], &regs[in.Dst]); err != nil {
-				return err
-			}
-			if !regs[in.Dst].isTrue() {
-				if cov != nil {
-					cov.hitEdge(fr.fn.Idx, int32(pc), bb.Target)
-				}
-				pc = int(bb.Target)
-				continue
-			}
-
-		case code.OpLoadIdx:
-			iv := &regs[in.B]
-			is, ok := iv.T.(*cltypes.Scalar)
-			if !ok {
-				return fmt.Errorf("exec: non-scalar index")
-			}
-			idx := int(cltypes.AsInt64(iv.Scalar, is))
-			lv, err := t.ptrLV(regs[in.A].Ptr.At(idx), "out-of-bounds buffer access")
-			if err != nil {
-				return err
-			}
-			if checkRaces {
-				if err := t.noteLVAccess(lv, false); err != nil {
-					return err
-				}
-			}
-			if err := lv.load(&regs[in.Dst]); err != nil {
-				return err
-			}
-
-		case code.OpIncDecSlot:
-			if err := t.vmIncDec(directLV(fr.slots[in.A], unshared), ast.UnOp(in.B), &regs[in.Dst]); err != nil {
-				return err
-			}
-
-		case code.OpStoreSlot:
-			if err := t.vmStore(in, directLV(fr.slots[in.A], unshared), regs); err != nil {
-				return err
-			}
-
-		case code.OpAggLit, code.OpAggDecl:
-			// One tree allocation replaces the literal's every elided
-			// OpNewAgg: nested constant literals write through root-relative
-			// paths instead of building temporaries and deep-copying them
-			// in, and the OpAggDecl form hands the tree straight to the
-			// declared slot (eliding OpStoreDecl's copy as well).
-			al := in.Aux.(*code.AggLit)
-			c := t.newPrivCell(al.Typ)
-			if in.Op == code.OpAggLit {
-				regs[in.Dst] = Value{T: al.Typ, Agg: c}
-			} else {
-				fr.slots[in.A] = c
-			}
-			for i := range al.Ops {
-				op := &al.Ops[i]
-				cell := c
-				for _, k := range op.Path {
-					cell = cell.Kids[k]
-				}
-				if op.Defect {
-					if t.m.opts.Defects.Has(bugs.WCStructCharFirst) {
-						for _, fi := range charFirstLargerFields(cell.Typ.(*cltypes.StructT)) {
-							cell.Kids[fi].Val = 0
-						}
-					}
-					continue
-				}
-				v := Value{T: op.T, Scalar: op.V}
-				if op.Conv != nil {
-					v = convertScalar(&v, op.Conv)
-				}
-				if err := storeCell(cell, &v, unshared); err != nil {
-					return err
-				}
-			}
-
-		case code.OpLoadCast:
-			lv := lvs[in.A]
-			if checkRaces {
-				if err := t.noteLVAccess(lv, false); err != nil {
-					return err
-				}
-			}
-			if err := lv.load(&regs[in.Dst]); err != nil {
-				return err
-			}
-			if err := vmCast(&regs[in.Dst], auxType(in.Aux)); err != nil {
-				return err
-			}
-
 		default:
 			return fmt.Errorf("exec: unknown opcode %d", in.Op)
 		}
@@ -1290,9 +1053,7 @@ func (t *thread) vmMath(in *code.Instr, regs []Value) error {
 
 // vmIncDec applies ++/-- through an lvalue, mirroring the IncDec case
 // of evalExpr: race note, load, scalar check, wrap-around add/sub by
-// one, store, and the post-op value restore. OpIncDec passes the
-// lvalue register's content; OpIncDecSlot rebuilds the same direct
-// lvalue from the frame slot.
+// one, store, and the post-op value restore.
 func (t *thread) vmIncDec(lv lval, op ast.UnOp, out *Value) error {
 	if t.m.opts.CheckRaces {
 		if err := t.noteLVAccess(lv, true); err != nil {
@@ -1323,47 +1084,9 @@ func (t *thread) vmIncDec(lv lval, op ast.UnOp, out *Value) error {
 	return nil
 }
 
-// vmBinaryOp applies a binary operator exactly like the OpBinary arm:
-// the pointer equality special case, then the checked scalar/vector
-// path. The fused arms route through it so superinstructions cannot
-// drift from OpBinary's semantics.
-func (t *thread) vmBinaryOp(bi *code.BinInfo, lv, rv, out *Value) error {
-	if _, ok := lv.T.(*cltypes.Pointer); ok {
-		eq := samePtrTarget(lv.Ptr, rv.Ptr)
-		if bi.Op == ast.EQ {
-			*out = boolValue(eq)
-		} else {
-			*out = boolValue(!eq)
-		}
-		return nil
-	}
-	return t.applyBinary(bi.Op, lv, rv, bi.RT, out)
-}
-
-// vmSlotVal loads a frame slot's value exactly like the OpLoadSlot arm:
-// race note, the scalar fast path for unshared cells, and the general
-// cell load.
-func (t *thread) vmSlotVal(c *Cell, out *Value) error {
-	if t.m.opts.CheckRaces {
-		if err := t.noteAccess(c, false, false); err != nil {
-			return err
-		}
-	}
-	if sc, ok := c.Typ.(*cltypes.Scalar); ok && (t.m.unshared || !c.Shared) {
-		*out = Value{T: sc, Scalar: c.Val}
-		return nil
-	}
-	return loadCell(c, t.m.unshared, out)
-}
-
 // vmStore mirrors evalAssignStore: compound folding, the store defect
 // models (with the syntactic triggers pre-resolved by the lowerer), the
 // store itself, struct-copy corruption, and the value-position reload.
-// OpStore passes the lvalue register's content; OpStoreSlot rebuilds
-// the same direct lvalue from the frame slot (equivalent because the
-// fuser only rewrites stores whose window cannot rebind the slot's
-// cell). The *StoreInfo — and with it the Figure 1(d)/2(c) defect
-// triggers — is carried verbatim on both forms.
 func (t *thread) vmStore(in *code.Instr, lv lval, regs []Value) error {
 	si := in.Aux.(*code.StoreInfo)
 	if cov := t.m.opts.Cover; cov != nil {

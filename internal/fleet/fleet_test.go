@@ -22,7 +22,7 @@ import (
 // exercised end to end by the CI fleet job.
 
 func testParams() harness.Params {
-	return harness.Params{Table: 1, Scale: 1, Seed: 7, Threads: 8, Fuel: harness.DefaultFuelParam()}
+	return harness.Params{Table: 1, Scale: 1, Seed: 7, Threads: 8}
 }
 
 // writePayloads writes one complete synthetic shard file per shard into

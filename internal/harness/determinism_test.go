@@ -201,13 +201,10 @@ func TestEngineDeterminism(t *testing.T) {
 				if cr.Kernel.Code == nil {
 					t.Fatalf("%s on %s: kernel did not lower to bytecode", c.Name, Key(cfg, opt))
 				}
-				// Pin fuel/v1 on both runs: this test compares engines, not
-				// fuel models, and must pass unchanged under CLFUZZ_FUEL=v2
-				// (the fuel-model equivalence is pinned by its own suites).
 				args, result := c.Buffers()
-				want := cr.Kernel.Run(c.ND, args, result, device.RunOptions{Engine: exec.EngineTree, FuelModel: exec.FuelV1})
+				want := cr.Kernel.Run(c.ND, args, result, device.RunOptions{Engine: exec.EngineTree})
 				vargs, vresult := c.Buffers()
-				got := cr.Kernel.Run(c.ND, vargs, vresult, device.RunOptions{Engine: exec.EngineVM, FuelModel: exec.FuelV1})
+				got := cr.Kernel.Run(c.ND, vargs, vresult, device.RunOptions{Engine: exec.EngineVM})
 				label := fmt.Sprintf("%s on %s", c.Name, Key(cfg, opt))
 				if got.Outcome != want.Outcome || got.Msg != want.Msg {
 					t.Fatalf("%s: vm (%v, %q), tree (%v, %q)", label, got.Outcome, got.Msg, want.Outcome, want.Msg)

@@ -14,7 +14,7 @@ func fuzzEngine() *campaign.Engine {
 	return &campaign.Engine{Front: device.DefaultFrontCache, Results: campaign.NewResultCache(4096)}
 }
 
-var fuzzTestParams = Params{Table: FuzzTable, Scale: 4, Seed: 9, Threads: 32, Chains: 2, Fuel: DefaultFuelParam()}
+var fuzzTestParams = Params{Table: FuzzTable, Scale: 4, Seed: 9, Threads: 32, Chains: 2}
 
 // TestFuzzCampaignDeterminism: two independent runs of the fuzz campaign
 // — fresh campaign engines, so no result-cache state crosses over —
@@ -142,9 +142,9 @@ func TestTableCoverageNeutrality(t *testing.T) {
 	armImmutableAssert(t)
 	ctx := context.Background()
 	tables := []Params{
-		{Table: 1, Scale: 1, Seed: 3, Threads: 32, Fuel: DefaultFuelParam()},
-		{Table: 4, Scale: 1, Seed: 5, Threads: 32, Fuel: DefaultFuelParam()},
-		{Table: 5, Scale: 1, Seed: 7, Threads: 32, Fuel: DefaultFuelParam()},
+		{Table: 1, Scale: 1, Seed: 3, Threads: 32},
+		{Table: 4, Scale: 1, Seed: 5, Threads: 32},
+		{Table: 5, Scale: 1, Seed: 7, Threads: 32},
 	}
 	if testing.Short() {
 		tables = tables[1:2]

@@ -13,24 +13,28 @@ import (
 // that the configuration classification matches the paper's Table 1 final
 // column: NVIDIA (1-4), anonymous driver 1c (9), the Intel CPUs (12-15)
 // and Oclgrind (19) above the reliability threshold, the rest below.
+//
+// Exactly one configuration is a pinned exception: at this scale config
+// 17 (Anon. device 2) fails 23.6% of tests, within the 25% limit, so it
+// lands above the threshold where the paper puts it below. The full-size
+// `cltables -table 1` campaign misclassifies config 20 (the emulated
+// Altera PCIe-385N D5, 23.3%) instead. The test fails if any other
+// configuration drifts, or if config 17 starts matching.
 func TestClassification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
 	}
 	rows := harness.ClassifyConfigurations(12, 7, 64, device.DefaultFuel)
-	mismatches := 0
+	var mismatched []int
 	for _, r := range rows {
 		if !r.MatchesPaper {
-			mismatches++
+			mismatched = append(mismatched, r.Config.ID)
 			t.Logf("config %d (%s): fail%%=%.1f above=%v paper=%v",
 				r.Config.ID, r.Config.Device, 100*r.FailureRate(), r.Above, r.Config.PaperAboveThreshold)
 		}
 	}
-	// The scaled-down campaign tolerates a small number of borderline
-	// mismatches (the paper itself reports configurations near the
-	// threshold); the full-size campaign in cmd/cltables matches exactly.
-	if mismatches > 2 {
-		t.Errorf("%d configurations classified differently from the paper", mismatches)
+	if len(mismatched) != 1 || mismatched[0] != 17 {
+		t.Errorf("configurations %v classified differently from the paper, want exactly [17]", mismatched)
 	}
 }
 

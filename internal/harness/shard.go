@@ -11,7 +11,6 @@ import (
 	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/campaign"
 	"clfuzz/internal/device"
-	"clfuzz/internal/exec"
 	"clfuzz/internal/generator"
 )
 
@@ -41,36 +40,19 @@ type Params struct {
 	// the equal-budget pure-random baseline the coverage-over-time series
 	// compares against. Ignored by the paper tables.
 	Fresh bool `json:"fresh,omitempty"`
-	// Fuel records the fuel-accounting model the campaign ran under
-	// ("v2", or empty for the default fuel/v1 — omitted so fuel/v1 shard
-	// files are byte-identical to earlier schema revisions). Campaign
-	// results are only byte-identical within one model, so the Params
-	// struct-equality checks in resume and merge reject mixing, and
-	// runShard refuses to execute a shard whose recorded model disagrees
-	// with the process default (see device.DefaultFuelModel).
+	// Fuel is the fuel-model record of shard files written by builds
+	// that had a second fuel model: "v2" for that model's campaigns. The
+	// executor now has one tree-exact model, so campaigns leave Fuel
+	// empty (omitted, keeping shard files byte-identical to earlier
+	// ones). A file that records a model is refused: resume requires
+	// equal Params, and merge rejects the file by name.
 	Fuel string `json:"fuel,omitempty"`
 }
 
-// DefaultFuelParam returns the Params.Fuel record matching the process
-// default fuel model: "v2" under fuel/v2, empty under fuel/v1 so that
-// fuel/v1 shard files stay byte-identical to earlier schema revisions.
+// DefaultFuelParam returns the Params.Fuel record of a campaign run by
+// this build, which is always empty.
 func DefaultFuelParam() string {
-	if device.DefaultFuelModel == exec.FuelV2 {
-		return "v2"
-	}
 	return ""
-}
-
-// fuelModel parses the recorded fuel model; empty means fuel/v1.
-func (p Params) fuelModel() (exec.FuelModel, error) {
-	fm, err := exec.ParseFuelModel(p.Fuel)
-	if err != nil {
-		return exec.FuelAuto, err
-	}
-	if fm == exec.FuelAuto {
-		fm = exec.FuelV1
-	}
-	return fm, nil
 }
 
 // chainCount resolves the fuzz campaign's chain count.
@@ -273,16 +255,6 @@ func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int
 	if of < 1 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("harness: bad shard %d/%d", shard, of)
 	}
-	// Launches run under the process-wide fuel model; the recorded
-	// Params.Fuel must agree, or this shard's records would silently
-	// disagree with siblings run elsewhere (merge checks Params equality,
-	// but only this check ties the record to what actually executed).
-	if fm, err := p.fuelModel(); err != nil {
-		return nil, err
-	} else if fm != device.DefaultFuelModel {
-		return nil, fmt.Errorf("harness: shard params record fuel model %s but the process runs %s (set -fuel or CLFUZZ_FUEL)",
-			fm, device.DefaultFuelModel)
-	}
 	sc, err := campaignFor(eng, p)
 	if err != nil {
 		return nil, err
@@ -483,6 +455,9 @@ func mergeShards(eng *campaign.Engine, files []*ShardFile, names []string) (stri
 	for fi, f := range files {
 		if f.Schema != ShardSchema {
 			return "", fmt.Errorf("harness: %s: unknown shard schema %q", name(fi), f.Schema)
+		}
+		if f.Fuel != "" {
+			return "", fmt.Errorf("harness: %s: recorded under fuel model %q, which this build no longer runs; rerun the shard", name(fi), f.Fuel)
 		}
 		if f.Params != first.Params || f.Cases != first.Cases {
 			return "", fmt.Errorf("harness: shard parameters disagree: %s has %+v (%d cases), %s has %+v (%d cases)",

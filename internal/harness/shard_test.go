@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"clfuzz/internal/campaign"
 	"clfuzz/internal/device"
-	"clfuzz/internal/exec"
 )
 
 // shardParams are deliberately tiny: the property under test is byte
@@ -18,11 +18,9 @@ import (
 // both engine jobs (the default VM job and the CLFUZZ_ENGINE=tree job),
 // so the shard/merge and result-cache invariants are pinned on both
 // evaluation engines.
-// The Fuel record follows the process default so the CLFUZZ_FUEL=v2 CI
-// job exercises the same byte-identity suite under the fused model.
 var shardParams = []Params{
-	{Table: 4, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()},
-	{Table: 5, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()},
+	{Table: 4, Scale: 2, Seed: 99, Threads: 24},
+	{Table: 5, Scale: 2, Seed: 99, Threads: 24},
 }
 
 // freshEngine returns an isolated campaign engine; withResults arms the
@@ -93,85 +91,34 @@ func TestShardMergeDeterminism(t *testing.T) {
 	}
 }
 
-// TestFuelV2CampaignDeterminism pins the fuel/v2 campaign contract:
-// with the process default set to the superinstruction model, a
-// campaign renders byte-identically across reruns and across a
-// shard/merge split, exactly as fuel/v1 does — and shard params that
-// fail to record the model are refused, so a v1 shard file can never
-// be folded into a v2 campaign unnoticed. CI runs this under -race
-// with CLFUZZ_FUEL=v2 set process-wide as well.
-func TestFuelV2CampaignDeterminism(t *testing.T) {
-	armImmutableAssert(t)
-	saved := device.DefaultFuelModel
-	device.DefaultFuelModel = exec.FuelV2
-	t.Cleanup(func() { device.DefaultFuelModel = saved })
-	p := Params{Table: 5, Scale: 2, Seed: 99, Threads: 24, Fuel: "v2"}
-	ref, err := renderCampaign(nil, freshEngine(false), p)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	again, err := renderCampaign(nil, freshEngine(true), p)
-	if err != nil {
-		t.Fatalf("rerun: %v", err)
-	}
-	if again != ref {
-		t.Fatalf("fuel/v2 rerun differs from the reference:\n%s\n--- vs ---\n%s", again, ref)
-	}
-	files := make([]*ShardFile, 2)
-	for s := range files {
-		sf, err := runShard(nil, freshEngine(true), p, s, 2, ShardRunOptions{})
-		if err != nil {
-			t.Fatalf("shard %d/2: %v", s, err)
-		}
-		files[s] = sf
-	}
-	merged, err := mergeShards(freshEngine(true), files, nil)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if merged != ref {
-		t.Fatalf("fuel/v2 2-shard merge differs from the unsharded run:\n%s\n--- vs ---\n%s", merged, ref)
-	}
-	// A shard whose params omit the fuel record must be refused while
-	// the process default is v2: its records would have been produced
-	// under a different timeout frontier.
-	v1p := p
-	v1p.Fuel = ""
-	if _, err := runShard(nil, freshEngine(true), v1p, 0, 2, ShardRunOptions{}); err == nil {
-		t.Fatal("shard with v1 params ran under a v2 process default")
-	}
-}
-
 // TestThreadedDispatchCampaignDeterminism pins the dispatch contract at
-// campaign scale, and with a stronger bar than the fuel-model suite:
-// dispatch is observation-free, so with the process default flipped to
-// the direct-threaded loop, a Table 5 campaign — and its 2-shard
-// merge — must render byte-identical to the reference produced under
-// the switch loop. Launches running through different dispatch modes
-// share result-cache entries (LaunchOptions deliberately omits the mode
-// from the key), so any divergence would also poison the cache; byte
-// identity here pins both properties at once. CI additionally re-runs
-// the whole shard/merge and fleet suites with CLFUZZ_DISPATCH=threaded
-// set process-wide.
+// campaign scale: how a campaign's work is dispatched onto threads is
+// observation-free. With GOMAXPROCS at 1 every stage runs one case at a
+// time and every launch runs its work-groups serially through the switch
+// loop; with GOMAXPROCS at 4 cases fan out across worker goroutines and
+// narrow stages hand their idle workers to the executor's work-group
+// fan-out. A Table 5 campaign — and its 2-shard merge — must render
+// byte-identical either way. Launches under both schedules share
+// result-cache entries (LaunchOptions.Workers is not part of the key),
+// so any divergence would also poison the cache; byte identity here
+// pins both properties at once.
 func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 	armImmutableAssert(t)
-	p := Params{Table: 5, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()}
-	saved := device.DefaultDispatch
-	device.DefaultDispatch = exec.DispatchSwitch
-	t.Cleanup(func() { device.DefaultDispatch = saved })
+	p := Params{Table: 5, Scale: 2, Seed: 99, Threads: 24}
+	saved := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(saved) })
 	ref, err := renderCampaign(nil, freshEngine(false), p)
 	if err != nil {
-		t.Fatalf("switch reference: %v", err)
+		t.Fatalf("serial reference: %v", err)
 	}
-	device.DefaultDispatch = exec.DispatchThreaded
+	runtime.GOMAXPROCS(4)
 	got, err := renderCampaign(nil, freshEngine(true), p)
 	if err != nil {
 		t.Fatalf("threaded run: %v", err)
 	}
 	if got != ref {
-		t.Fatalf("threaded campaign differs from the switch reference:\n%s\n--- vs ---\n%s", got, ref)
+		t.Fatalf("threaded campaign differs from the serial reference:\n%s\n--- vs ---\n%s", got, ref)
 	}
-	_, thBefore := exec.DispatchCounters()
 	files := make([]*ShardFile, 2)
 	for s := range files {
 		sf, err := runShard(nil, freshEngine(true), p, s, 2, ShardRunOptions{})
@@ -185,10 +132,7 @@ func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 		t.Fatalf("merge: %v", err)
 	}
 	if merged != ref {
-		t.Fatalf("threaded 2-shard merge differs from the switch reference:\n%s\n--- vs ---\n%s", merged, ref)
-	}
-	if _, thAfter := exec.DispatchCounters(); thAfter == thBefore {
-		t.Fatal("the threaded campaign never ran the threaded loop")
+		t.Fatalf("threaded 2-shard merge differs from the serial reference:\n%s\n--- vs ---\n%s", merged, ref)
 	}
 }
 
@@ -196,7 +140,7 @@ func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 // shard sets must be refused — with errors precise enough to name the
 // offending file and case — not silently merged.
 func TestShardMergeRejectsBadSets(t *testing.T) {
-	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	eng := freshEngine(true)
 	s0, err := runShard(nil, eng, p, 0, 2, ShardRunOptions{})
 	if err != nil {
@@ -270,6 +214,18 @@ func TestShardMergeRejectsBadSets(t *testing.T) {
 			labels:  []string{"oob.json", "ok.json"},
 			wantErr: []string{"oob.json", "out of range"},
 		},
+		{
+			// What `cltables -fuel v2 -shard` wrote before fuel/v2 was
+			// deleted: every file of the set carries the record.
+			name: "retired fuel model",
+			files: func() []*ShardFile {
+				v0, v1 := clone(s0), clone(s1)
+				v0.Fuel, v1.Fuel = "v2", "v2"
+				return []*ShardFile{v0, v1}
+			},
+			labels:  []string{"v2-0.json", "v2-1.json"},
+			wantErr: []string{"v2-0.json", `fuel model "v2"`},
+		},
 	}
 	for _, tt := range tests {
 		_, err := mergeShards(eng, tt.files(), tt.labels)
@@ -288,7 +244,7 @@ func TestShardMergeRejectsBadSets(t *testing.T) {
 // TestValidateShardFile: per-file validation catches corruption a merge
 // would otherwise report confusingly (or not at all), naming the file.
 func TestValidateShardFile(t *testing.T) {
-	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	eng := freshEngine(true)
 	good, err := runShard(nil, eng, p, 0, 2, ShardRunOptions{})
 	if err != nil {
@@ -350,7 +306,7 @@ func TestLoadShardFile(t *testing.T) {
 		t.Fatal("loaded an absent file")
 	}
 	// Round trip through MergeShardPaths.
-	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	eng := freshEngine(true)
 	var paths []string
 	for s := 0; s < 2; s++ {
@@ -384,7 +340,7 @@ func TestLoadShardFile(t *testing.T) {
 // TestShardResume: a partial prior file is reused — only the missing
 // cases execute — and the result is byte-identical to a fresh run.
 func TestShardResume(t *testing.T) {
-	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24}
 	full, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +377,7 @@ func TestShardResume(t *testing.T) {
 // TestShardCancellation: a cancelled shard run returns ctx's error plus
 // a valid partial file that resumes to the byte-identical full result.
 func TestShardCancellation(t *testing.T) {
-	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24}
 	full, err := runShard(nil, freshEngine(true), p, 0, 1, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +418,7 @@ func TestShardCancellation(t *testing.T) {
 // TestQuarantineShard: the synthesized all-crash shard merges with real
 // shards and covers exactly the quarantined slice.
 func TestQuarantineShard(t *testing.T) {
-	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16, Fuel: DefaultFuelParam()}
+	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	real0, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{})
 	if err != nil {
 		t.Fatal(err)
