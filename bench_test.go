@@ -13,6 +13,7 @@ import (
 
 	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/device"
+	"clfuzz/internal/exec"
 	"clfuzz/internal/exhibits"
 	"clfuzz/internal/generator"
 	"clfuzz/internal/harness"
@@ -259,6 +260,9 @@ func BenchmarkExecuteSteadyState(b *testing.B) {
 // must stay under a fixed allocation ceiling. The pre-pool executor
 // allocated ~1100 objects per launch; the pooled steady state measures
 // ~210, and the ceiling of 220 keeps the full 5x reduction locked in.
+// The ceiling is a contract on the campaign hot path, so the launch is
+// pinned to the VM under any CLFUZZ_ENGINE: the tree-walking reference
+// has no allocation contract.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation skews allocation counts")
@@ -271,7 +275,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	launch := func() {
 		args, result := k.Buffers()
-		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{}); rr.Outcome != device.OK {
+		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Engine: exec.EngineVM}); rr.Outcome != device.OK {
 			t.Fatal(rr.Msg)
 		}
 	}

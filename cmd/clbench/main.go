@@ -61,11 +61,13 @@ type snapshot struct {
 	// benchmark ran with (RunOptions.Workers).
 	GroupWorkers int    `json:"group_workers,omitempty"`
 	Notes        string `json:"notes,omitempty"`
-	// Engine is the evaluation engine the run used (vm, tree, or auto),
-	// with the engine counters accumulated over the whole run: launches
-	// per engine, VM instructions dispatched, and how many distinct
-	// back-end programs lowered to bytecode vs fell back to the tree
-	// walker. Cross-machine comparisons must match on Engine first.
+	// Engine is the evaluation engine the run used (vm, tree, or auto, as
+	// set by CLFUZZ_ENGINE), with the engine counters accumulated over the
+	// whole run: launches per engine, VM instructions dispatched, and how
+	// many distinct back-end programs lowered to bytecode vs failed to
+	// lower (LowerFallbacks keeps its historical name; each such program
+	// is a build failure). Cross-machine comparisons must match on Engine
+	// first.
 	Engine         string `json:"engine,omitempty"`
 	VMLaunches     int64  `json:"vm_launches,omitempty"`
 	TreeLaunches   int64  `json:"tree_launches,omitempty"`
@@ -172,18 +174,11 @@ func main() {
 	fuzzScale := flag.Int("fuzzscale", 15, "fuzz steps per chain for -fuzz")
 	scale := flag.Int("scale", 6, "campaign scale for the table benchmarks")
 	baselinePath := flag.String("baseline", "", "optional snapshot to compare against (prints speedups to stderr)")
-	engineFlag := flag.String("engine", "auto", "evaluation engine for every launch: vm, tree, or auto")
 	storeDirFlag := flag.String("store", "",
 		"disk-backed result store directory (default $CLFUZZ_STORE; empty disables); the snapshot records its hit/miss/write counters")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
-	engine, err := exec.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	device.DefaultEngine = engine
 	diskStore, err := campaign.EnableStore(*storeDirFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -384,7 +379,7 @@ func main() {
 	if elapsed > 0 {
 		casesPerSec = float64(cases) / elapsed
 	}
-	lowered, fallbacks := device.LowerStats()
+	lowered, lowerFailed := device.LowerStats()
 	vmRuns, treeRuns, vmInstrs := exec.EngineCounters()
 	poolHits, poolMisses := exec.DefaultPool().Counters()
 	var ms runtime.MemStats
@@ -393,7 +388,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "BackCache", bcHits, bcMisses, bcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "ResultCache", rcHits, rcMisses, rcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d cases %12d launches %10.1f cases/s\n", "Campaign", cases, launches, casesPerSec)
-	fmt.Fprintf(os.Stderr, "%-28s %14d lowered %12d fallbacks\n", "Lowering", lowered, fallbacks)
+	fmt.Fprintf(os.Stderr, "%-28s %14d lowered %12d failures\n", "Lowering", lowered, lowerFailed)
 	fmt.Fprintf(os.Stderr, "%-28s %14d vm %12d tree %10d vm-instrs\n", "Engine", vmRuns, treeRuns, vmInstrs)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses\n", "LaunchPool", poolHits, poolMisses)
 	fmt.Fprintf(os.Stderr, "%-28s %14d mallocs %12d gc-cycles %10d pause-ns\n", "GC", ms.Mallocs, ms.NumGC, ms.PauseTotalNs)
@@ -402,12 +397,12 @@ func main() {
 		Go:                     runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPUs:                   runtime.GOMAXPROCS(0),
 		GroupWorkers:           groupWorkers,
-		Engine:                 engine.String(),
+		Engine:                 device.DefaultEngine.String(),
 		VMLaunches:             vmRuns,
 		TreeLaunches:           treeRuns,
 		VMInstructions:         vmInstrs,
 		LoweredKernels:         lowered,
-		LowerFallbacks:         fallbacks,
+		LowerFallbacks:         lowerFailed,
 		PoolHits:               poolHits,
 		PoolMisses:             poolMisses,
 		TotalAllocBytes:        ms.TotalAlloc,

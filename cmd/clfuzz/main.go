@@ -7,7 +7,9 @@
 // progress line prints every -report rounds. SIGINT stops the loop
 // cleanly and prints the final summary. The loop is deterministic for a
 // given -seed: stopping after N rounds observes a prefix of the
-// infinite run, identical to cltables -fuzz -scale N.
+// infinite run, identical to cltables -fuzz -scale N. Under
+// CLFUZZ_ENGINE=tree the reference engine collects no coverage, which
+// degrades the loop to pure swarm-random generation.
 //
 // Usage:
 //
@@ -39,16 +41,9 @@ func main() {
 	threads := flag.Int("threads", 64, "maximum thread count for generated kernels")
 	rounds := flag.Int("rounds", 0, "stop after this many rounds (0 = run until interrupted)")
 	report := flag.Int("report", 10, "print a coverage progress line every N rounds")
-	engineFlag := flag.String("engine", "auto",
-		"evaluation engine: vm, tree, or auto (the tree engine collects no coverage, degrading the loop to pure swarm-random generation)")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	flag.Parse()
-	engine, err := exec.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	device.DefaultEngine = engine
 	if _, err := campaign.EnableStore(*storeDir); err != nil {
 		log.Fatal(err)
 	}

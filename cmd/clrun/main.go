@@ -31,14 +31,12 @@ func main() {
 	races := flag.Bool("races", false, "enable the data race and barrier divergence checker")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"work-group fan-out budget (1 = fully serial executor; results are identical either way)")
-	engineFlag := flag.String("engine", "auto",
-		"evaluation engine: vm (register bytecode), tree (reference walker), or auto")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	cacheStats := flag.Bool("cachestats", false,
 		"print compile-cache hit/miss counters (front-end parses, shared back-end kernels, bytecode lowering) and engine counters after the run")
 	cover := flag.Bool("cover", false,
-		"collect VM edge coverage and defect-site counters for the run and print them (outcome and outputs are unaffected; requires the vm engine path)")
+		"collect VM edge coverage and defect-site counters for the run and print them (outcome and outputs are unaffected; the CLFUZZ_ENGINE=tree reference collects none)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: clrun [flags] kernel.cl")
@@ -48,10 +46,6 @@ func main() {
 		log.Fatal(err)
 	}
 	nd, err := parseND(*ndFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	engine, err := exec.ParseEngine(*engineFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +86,7 @@ func main() {
 				dh, dm, st.Corrupt, st.Writes, st.WriteErrs, disk.Dir())
 		}
 		fmt.Fprintf(os.Stderr, "campaign:     %d cases, %d launches executed\n", cases, launches)
-		fmt.Fprintf(os.Stderr, "lowering:     %d programs lowered, %d tree fallbacks\n", lo, lf)
+		fmt.Fprintf(os.Stderr, "lowering:     %d programs lowered, %d lowering failures\n", lo, lf)
 		fmt.Fprintf(os.Stderr, "engine:       %d vm launches (%d instructions), %d tree launches\n", vmRuns, instrs, treeRuns)
 	}
 	var cov *exec.CoverMap
@@ -112,7 +106,7 @@ func main() {
 	// front/back compile caches and cross-base result cache the table
 	// campaigns use, so -cachestats reports live counters.
 	rr := campaign.Default.RunCase(cfg, !*noopt, c, campaign.LaunchOptions{
-		CheckRaces: *races, Workers: *workers, Engine: engine, Cover: cov,
+		CheckRaces: *races, Workers: *workers, Cover: cov,
 	})
 	if rr.Compile {
 		fmt.Printf("outcome: %s\n%s\n", rr.Outcome, rr.Msg)

@@ -23,7 +23,8 @@
 // -out (or -checkpoint directory) resumes from it, executing only the
 // missing cases. The CLFUZZ_FAULT environment variable injects
 // deterministic worker failures for supervision testing (see
-// internal/fault).
+// internal/fault). Workers inherit the supervisor's environment, so
+// CLFUZZ_ENGINE=tree runs a whole fleet on the tree-walking reference.
 //
 // Usage:
 //
@@ -53,8 +54,6 @@ import (
 
 	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/campaign"
-	"clfuzz/internal/device"
-	"clfuzz/internal/exec"
 	"clfuzz/internal/exhibits"
 	"clfuzz/internal/fault"
 	"clfuzz/internal/fleet"
@@ -90,18 +89,11 @@ func main() {
 		"checkpoint directory for -fleet shard files; re-running over it resumes, re-executing only missing shards (default: a temporary directory)")
 	noSpeculate := flag.Bool("no-speculate", false,
 		"disable straggler re-dispatch under -fleet (the speculative duplicate of the last running shard)")
-	engineFlag := flag.String("engine", "auto",
-		"evaluation engine for every campaign launch: vm, tree, or auto (campaign output is byte-identical either way)")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared by shard workers, fleet runs and reruns (default $CLFUZZ_STORE; empty disables); campaign output is byte-identical with or without it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
-	engine, err := exec.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	device.DefaultEngine = engine
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -187,7 +179,6 @@ func main() {
 			retries:     *retries,
 			checkpoint:  *checkpoint,
 			noSpeculate: *noSpeculate,
-			engine:      *engineFlag,
 			store:       *storeDir,
 		}); err != nil {
 			log.Fatal(err)
@@ -303,7 +294,6 @@ type fleetOptions struct {
 	retries     int
 	checkpoint  string
 	noSpeculate bool
-	engine      string
 	store       string
 }
 
@@ -333,7 +323,6 @@ func runFleet(ctx context.Context, p harness.Params, o fleetOptions) error {
 			"-threads", fmt.Sprint(p.Threads),
 			"-chains", fmt.Sprint(p.Chains),
 			"-fresh="+fmt.Sprint(p.Fresh),
-			"-engine", o.engine,
 			"-store", o.store,
 			"-shard", fmt.Sprintf("%d/%d", shard, of),
 			"-out", outPath)

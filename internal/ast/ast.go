@@ -1,10 +1,6 @@
 package ast
 
-import (
-	"sync/atomic"
-
-	"clfuzz/internal/cltypes"
-)
+import "clfuzz/internal/cltypes"
 
 // Node is implemented by every AST node.
 type Node interface{ node() }
@@ -187,22 +183,10 @@ func NewIntLit(v uint64, t *cltypes.Scalar) *IntLit {
 type VarRef struct {
 	exprBase
 	Name string
-	// slot caches the evaluator's resolved scope coordinates for this
-	// reference (an encoding private to the interpreter; 0 = none). All
-	// threads of a launch share the node, so access goes through the
-	// atomic LoadSlot/StoreSlot accessors; the evaluator validates the
-	// cached value before trusting it, so a stale slot is only a miss.
-	slot uint64
 }
 
 // NewVarRef returns an unresolved variable reference.
 func NewVarRef(name string) *VarRef { return &VarRef{Name: name} }
-
-// LoadSlot atomically reads the evaluator's cached resolution slot.
-func (v *VarRef) LoadSlot() uint64 { return atomic.LoadUint64(&v.slot) }
-
-// StoreSlot atomically records the evaluator's resolution slot.
-func (v *VarRef) StoreSlot(s uint64) { atomic.StoreUint64(&v.slot, s) }
 
 // Unary is a unary operator application.
 type Unary struct {

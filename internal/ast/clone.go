@@ -12,14 +12,7 @@ func CloneExpr(e Expr) Expr {
 		cp := *ex
 		return &cp
 	case *VarRef:
-		// Build the copy without reading the evaluator's resolution-slot
-		// cache: the slot is written atomically by concurrent launches (a
-		// plain struct copy would race), and its scope coordinates belong
-		// to the original node's position — a clone spliced elsewhere (the
-		// unroller) must re-resolve, since a stale slot can validate
-		// against a same-named shadowed binding and silently return the
-		// wrong variable.
-		cp := VarRef{exprBase: ex.exprBase, Name: ex.Name}
+		cp := *ex
 		return &cp
 	case *Unary:
 		cp := *ex

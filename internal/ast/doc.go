@@ -6,7 +6,8 @@
 //
 // CloneProgram/CloneExpr produce the deep copies the per-configuration
 // back end mutates (the shared, cached front end is never modified).
-// VarRef carries an atomically accessed evaluator slot cache; everything
-// else is plain data. File map: ast.go (node types), print.go (source
-// printer), clone.go (deep copies).
+// Nodes are plain data with no evaluator state, so a checked program is
+// read-only and safe to share across concurrent launches. File map:
+// ast.go (node types), print.go (source printer), clone.go (deep
+// copies).
 package ast

@@ -9,7 +9,9 @@ import (
 )
 
 // coverCase branches on runtime values (the thread id), so its branches
-// survive constant folding and the VM has edges to report.
+// survive constant folding and the VM has edges to report. The tests
+// below pin their launches to the VM (Engine: exec.EngineVM): only the VM
+// collects coverage, and they must hold under CLFUZZ_ENGINE=tree too.
 func coverCase(name string) Case {
 	nd := exec.NDRange{Global: [3]int{8, 1, 1}, Local: [3]int{4, 1, 1}}
 	return Case{
@@ -39,9 +41,9 @@ kernel void k(global ulong *out) {
 func TestCoverageNeutralLaunch(t *testing.T) {
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	cfg := device.Reference()
-	plain := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{})
+	plain := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Engine: exec.EngineVM})
 	cov := new(exec.CoverMap)
-	covered := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Cover: cov})
+	covered := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Engine: exec.EngineVM, Cover: cov})
 	if covered.Outcome != plain.Outcome || covered.Msg != plain.Msg {
 		t.Fatalf("coverage changed the verdict: (%v, %q) vs (%v, %q)",
 			covered.Outcome, covered.Msg, plain.Outcome, plain.Msg)
@@ -67,11 +69,11 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	cfg := device.Reference()
 	c := coverCase("isolate")
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{}); r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM}); r.Cached {
 		t.Fatal("first uncovered run hit the cache")
 	}
 	covA := new(exec.CoverMap)
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Cover: covA}); r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM, Cover: covA}); r.Cached {
 		t.Fatal("first covered run was served from the uncovered entry")
 	}
 	if covA.Count() == 0 {
@@ -79,7 +81,7 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 	}
 	// A covered hit must replay the memoized delta into the caller's map.
 	covB := new(exec.CoverMap)
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Cover: covB}); !r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM, Cover: covB}); !r.Cached {
 		t.Fatal("second covered run missed the cache")
 	}
 	edgesA, edgesB := covA.Edges(), covB.Edges()
@@ -95,7 +97,7 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 		t.Fatalf("replayed site hits %v, executed %v", covB.SiteHits(), covA.SiteHits())
 	}
 	// And the uncovered entry still serves uncovered requests.
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM}); !r.Cached {
 		t.Fatal("uncovered entry was lost")
 	}
 	if _, _, size := eng.Results.Stats(); size != 2 {
@@ -110,12 +112,12 @@ func TestEngineWideCoverAccumulates(t *testing.T) {
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	eng.Cover = new(exec.CoverMap)
 	cfg := device.Reference()
-	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{})
+	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{Engine: exec.EngineVM})
 	afterMiss := eng.Cover.Count()
 	if afterMiss == 0 {
 		t.Fatal("engine-wide map empty after an executed launch")
 	}
-	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{})
+	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{Engine: exec.EngineVM})
 	if got := eng.Cover.Count(); got != afterMiss {
 		t.Fatalf("cache-hit replay changed the distinct-edge count: %d vs %d", got, afterMiss)
 	}

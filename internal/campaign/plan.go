@@ -100,6 +100,12 @@ func streamWith[R any](ctx context.Context, workers, n int, work func(i int) R, 
 	go func() {
 	dispatch:
 		for i := 0; i < n; i++ {
+			// select picks at random when a worker is waiting and the
+			// context is already done; check first, so a cancelled
+			// stream dispatches nothing more.
+			if ctx.Err() != nil {
+				break
+			}
 			select {
 			case jobs <- i:
 			case <-ctx.Done():

@@ -36,7 +36,7 @@ const (
 	// Values.
 	OpConst       // Dst = reg, Aux *ConstVal
 	OpPredef      // Dst = reg, A = value (CLK_*_MEM_FENCE)
-	OpLoadSlot    // Dst = reg, A = frame slot
+	OpLoadVar     // Dst = reg, A = frame slot
 	OpLoadGlobal  // Dst = reg, A = program-global index
 	OpUnary       // Dst = reg, A = src reg, B = ast.UnOp, Aux = result type
 	OpDeref       // Dst = reg, A = pointer reg

@@ -32,7 +32,7 @@
 //
 //   - Pre-resolved operands, runtime-checked defects. Names resolve at
 //     lowering time to frame slots and program-global indices (no scope
-//     scan, no VarRef slot cache), struct members to field indices, and
+//     scan), struct members to field indices, and
 //     calls to function indices; but every defect model keeps its runtime
 //     half — the lowered StoreInfo records only the syntactic trigger
 //     shape (deref-of-parameter, arrow-of-parameter), while the defect
@@ -41,10 +41,12 @@
 //     program therefore serves every defect model that shares the checked
 //     program.
 //
-// Lowering is total over the generator's subset. A construct it cannot
-// express returns an error and the kernel simply runs on the tree
-// engine — a per-program fallback that preserves byte-identical campaign
-// output, since the engines agree wherever both run. The
+// Lowering is total over the generator's subset, the corpus mutators,
+// the benchmark ports and the exhibits. A construct it cannot express
+// returns an error, which the device layer reports as a build failure
+// carrying that error on every configuration: there is no per-program
+// fallback, so every runnable kernel runs on the VM unless the process
+// asks for the tree reference (CLFUZZ_ENGINE=tree). The
 // FuzzLowerMatchesTree target and the engine-determinism suites pin the
 // equivalence continuously.
 package code

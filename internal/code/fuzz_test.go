@@ -34,11 +34,11 @@ func FuzzLowerMatchesTree(f *testing.F) {
 		})
 		cfg := cfgs[int(cfgID)%len(cfgs)]
 		cr := cfg.Compile(k.Src, optimize)
+		if lowerFailed(cr) {
+			t.Fatalf("kernel did not lower (mode %d seed %d): %s", mode, seed, cr.Msg)
+		}
 		if cr.Outcome != device.OK {
 			return
-		}
-		if cr.Kernel.Code == nil {
-			t.Fatalf("kernel did not lower (mode %d seed %d)", mode, seed)
 		}
 		run := func(e exec.Engine) device.RunResult {
 			args, result := k.Buffers()

@@ -15,10 +15,10 @@ import (
 //
 // Lowering is total over the generator's subset; a construct the lowerer
 // cannot express (or one the tree walker would reject at runtime anyway)
-// returns an error, and callers fall back to the tree-walking engine for
-// that program. Fuel accounting is mirrored instruction by instruction:
-// each Instr's Cost is the number of tree-walker step() calls it stands
-// for, so Timeout outcomes are identical between the engines.
+// returns an error, which the device layer reports as a build failure.
+// Fuel accounting is mirrored instruction by instruction: each Instr's
+// Cost is the number of tree-walker step() calls it stands for, so
+// Timeout outcomes are identical between the engines.
 func Lower(prog *ast.Program) (p *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -348,8 +348,9 @@ func (fl *fnLowerer) lowerLoop(forNode *ast.For, cond ast.Expr, post ast.Expr, b
 // deadLoopInfo resolves the Figure 2(d) dead-loop-with-barrier defect
 // shape for a for loop: a body containing a barrier and an init clause
 // that is a plain assignment. The destination must be a statically
-// resolvable variable (the only shape the generator emits); anything else
-// aborts lowering and the program runs on the tree engine.
+// resolvable variable or an arrow member of one (the only shapes the
+// generator emits); anything else aborts lowering, and the device layer
+// reports the program as a build failure.
 func (fl *fnLowerer) deadLoopInfo(st *ast.For) *LoopExit {
 	es, ok := st.Init.(*ast.ExprStmt)
 	if !ok {
@@ -471,7 +472,7 @@ func (fl *fnLowerer) lowerExpr(e ast.Expr, dst int32) {
 	case *ast.VarRef:
 		if slot, global, ok := fl.resolve(ex.Name); ok {
 			if slot >= 0 {
-				fl.emit(Instr{Op: OpLoadSlot, Cost: 1, Dst: dst, A: slot})
+				fl.emit(Instr{Op: OpLoadVar, Cost: 1, Dst: dst, A: slot})
 			} else {
 				fl.emit(Instr{Op: OpLoadGlobal, Cost: 1, Dst: dst, A: global})
 			}

@@ -1,11 +1,14 @@
 package code_test
 
 import (
+	"strings"
 	"testing"
 
 	"clfuzz/internal/ast"
-	"clfuzz/internal/cltypes"
+	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/code"
+	"clfuzz/internal/device"
+	"clfuzz/internal/exhibits"
 	"clfuzz/internal/generator"
 	"clfuzz/internal/parser"
 	"clfuzz/internal/sema"
@@ -75,32 +78,70 @@ func TestLowerDeterministic(t *testing.T) {
 	}
 }
 
-// TestLowerFallback pins the escape hatch: a program whose dead-loop
-// defect shape the lowerer cannot express (a non-variable init
-// destination on a barrier-bearing for loop) must return an error — the
-// device layer then runs that program on the tree engine — rather than
-// silently mislowering the defect model.
+// inexpressibleDeadLoop is a hand-written kernel with the one shape no
+// generated, ported, exhibit or mutated kernel has: a barrier-bearing for
+// loop whose init assigns through a subscript, so the Figure 2(d)
+// dead-loop defect has no variable to clobber that the lowerer can name.
+// The post clause's constant keeps every configuration's hash-gated
+// compile defects quiet, so lowering is what rejects the kernel.
+const inexpressibleDeadLoop = `kernel void k(global ulong *out) {
+    for (out[1] = 0UL; out[1] > 0UL; out[1] = 1UL) { barrier(CLK_LOCAL_MEM_FENCE); }
+}
+`
+
+// lowerFailed reports whether a compile result is the build failure the
+// device layer reports for a program that does not lower: its message is
+// the code.Lower error.
+func lowerFailed(cr device.CompileResult) bool {
+	return cr.Outcome == device.BuildFailure && strings.HasPrefix(cr.Msg, "code: ")
+}
+
+// TestLowerFallback pins what became of the old tree-engine escape hatch:
+// a program whose dead-loop defect shape the lowerer cannot express must
+// return a lowering error rather than silently mislowering the defect
+// model, and the device layer must report that error as a build failure
+// on every configuration and level, on the cached and the uncached
+// compile path alike. No kernel falls back to the tree walker.
 func TestLowerFallback(t *testing.T) {
-	out := &ast.Param{}
-	out.Name, out.Type = "out", &cltypes.Pointer{Elem: cltypes.TULong, Space: cltypes.Global}
-	barrier := &ast.ExprStmt{X: &ast.Call{Name: "barrier", Args: []ast.Expr{ast.NewIntLit(1, cltypes.TInt)}}}
-	loop := &ast.For{
-		Init: &ast.ExprStmt{X: &ast.AssignExpr{
-			Op:  ast.Assign,
-			LHS: &ast.Unary{Op: ast.Deref, X: ast.NewVarRef("out")},
-			RHS: ast.NewIntLit(0, cltypes.TULong),
-		}},
-		Body: &ast.Block{Stmts: []ast.Stmt{barrier}},
-	}
-	prog := &ast.Program{Funcs: []*ast.FuncDecl{{
-		Name:     "k",
-		Ret:      cltypes.TVoid,
-		IsKernel: true,
-		Params:   []ast.Param{*out},
-		Body:     &ast.Block{Stmts: []ast.Stmt{loop}},
-	}}}
-	if _, err := code.Lower(prog); err == nil {
+	_, err := code.Lower(checkedKernel(t, inexpressibleDeadLoop))
+	if err == nil {
 		t.Fatal("expected a lowering error for the inexpressible dead-loop shape")
+	}
+	for _, cfg := range device.All() {
+		for _, optimize := range []bool{false, true} {
+			for name, cr := range map[string]device.CompileResult{
+				"cached":   cfg.Compile(inexpressibleDeadLoop, optimize),
+				"uncached": cfg.CompileUncached(inexpressibleDeadLoop, optimize),
+			} {
+				if cr.Outcome != device.BuildFailure || cr.Msg != err.Error() {
+					t.Errorf("config %d optimize=%v %s: %v %q, want %v %q",
+						cfg.ID, optimize, name, cr.Outcome, cr.Msg, device.BuildFailure, err.Error())
+				}
+			}
+		}
+	}
+}
+
+// TestLowerCoversPortsAndExhibits pins the zero-fallback premise behind
+// total lowering: every benchmark port and every Figure 1/2 exhibit
+// lowers on all 21 configurations at both optimization levels, so none of
+// them is turned into a lowering build failure.
+func TestLowerCoversPortsAndExhibits(t *testing.T) {
+	srcs := map[string]string{}
+	for _, b := range benchmarks.All() {
+		srcs[b.Name] = b.Src
+	}
+	for _, e := range exhibits.All() {
+		srcs["figure "+e.ID] = e.Src
+	}
+	for name, src := range srcs {
+		for _, cfg := range device.All() {
+			for _, optimize := range []bool{false, true} {
+				if cr := cfg.Compile(src, optimize); lowerFailed(cr) {
+					t.Errorf("%s on config %d optimize=%v: %s", name, cfg.ID, optimize, cr.Msg)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"clfuzz/internal/device"
@@ -12,10 +13,12 @@ import (
 // FuzzCorpusMutate is the mutation-robustness fuzz target: any stacked
 // mutation of any corpus member must produce source that re-parses, and
 // whose full compile — semantic checking, optimization, bytecode
-// lowering or tree fallback — terminates without panicking. Semantic
-// rejection is fine (such mutants surface as contained build failures
-// downstream); a parse failure or a panic is a bug in the mutator. CI
-// runs this as a short -fuzztime smoke step next to
+// lowering — terminates without panicking. Semantic rejection is fine
+// (such mutants surface as contained build failures downstream); a parse
+// failure, a panic, or a mutant that does not lower is a bug. Lowering is
+// total over what the mutators produce: a lowering failure is a build
+// failure on every configuration, so the campaigns would silently lose
+// the mutant. CI runs this as a short -fuzztime smoke step next to
 // FuzzLowerMatchesTree.
 func FuzzCorpusMutate(f *testing.F) {
 	f.Add(uint8(0), uint32(1), uint32(2), int64(3))
@@ -53,9 +56,13 @@ func FuzzCorpusMutate(f *testing.F) {
 			if _, err := parser.Parse(mut.Src); err != nil {
 				t.Fatalf("%s mutant stopped parsing: %v\n%s", origin, err, mut.Src)
 			}
-			// The full compile chain — sema, optimization, lowering with
-			// tree fallback — must terminate, not necessarily succeed.
+			// The full compile chain — sema, optimization, lowering —
+			// must terminate, not necessarily succeed; but whatever sema
+			// accepts must lower.
 			cr := device.Reference().Compile(mut.Src, true)
+			if cr.Outcome == device.BuildFailure && strings.HasPrefix(cr.Msg, "code: ") {
+				t.Fatalf("%s mutant does not lower: %s\n%s", origin, cr.Msg, mut.Src)
+			}
 			if cr.Outcome == device.OK {
 				next := c.Add(mut, 1)
 				if next != nil {

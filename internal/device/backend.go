@@ -56,9 +56,8 @@ type backEnd struct {
 	msg     string
 	prog    *ast.Program
 	info    *sema.Info
-	// code is the register bytecode lowered from prog (nil when lowering
-	// declined and the kernel runs on the tree-walking engine). Like prog
-	// it is immutable and shared across configurations and launches.
+	// code is the register bytecode lowered from prog. Like prog it is
+	// immutable and shared across configurations and launches.
 	code *code.Program
 }
 
@@ -85,39 +84,43 @@ type progKey struct {
 	optimize bool
 }
 
+// progEntry is a memoized fold/optimize/lower product: the program and
+// its bytecode, or the lowering diagnostic that rejected the program.
 type progEntry struct {
-	src  string
-	prog *ast.Program
-	code *code.Program
+	src    string
+	prog   *ast.Program
+	code   *code.Program
+	errMsg string
 }
 
-// Lowering counters: programs lowered to bytecode vs programs that fell
-// back to the tree engine. Shared artifacts (lowered once, reused via the
-// prog-stage memo) count once, so the ratio measures distinct compiles.
+// Lowering counters: programs lowered to bytecode vs programs whose
+// lowering failed (each a build failure). Shared artifacts (lowered once,
+// reused via the prog-stage memo) count once, so the counts measure
+// distinct compiles.
 var (
 	lowerCompiles atomic.Uint64
-	lowerFallback atomic.Uint64
+	lowerFailures atomic.Uint64
 )
 
 // LowerStats reports the cumulative lowering counters: how many distinct
-// back-end programs were compiled to bytecode, and how many fell back to
-// the tree-walking engine.
-func LowerStats() (lowered, fellBack uint64) {
-	return lowerCompiles.Load(), lowerFallback.Load()
+// back-end programs were compiled to bytecode, and how many failed to
+// lower and were reported as build failures.
+func LowerStats() (lowered, failed uint64) {
+	return lowerCompiles.Load(), lowerFailures.Load()
 }
 
 // lowerProgram compiles the finished back-end program to register
-// bytecode, recording the outcome. A lowering failure is not an error:
-// the kernel simply runs on the reference tree walker, which is
-// byte-identical (and what the -engine=tree escape hatch forces anyway).
-func lowerProgram(prog *ast.Program) *code.Program {
+// bytecode, recording the outcome. Lowering is total over everything the
+// generator, the mutators and the ports produce; a program it cannot
+// express is reported as a build failure carrying the lowering error.
+func lowerProgram(prog *ast.Program) (*code.Program, error) {
 	cp, err := code.Lower(prog)
 	if err != nil {
-		lowerFallback.Add(1)
-		return nil
+		lowerFailures.Add(1)
+		return nil, err
 	}
 	lowerCompiles.Add(1)
-	return cp
+	return cp, nil
 }
 
 // BackCache is a bounded, concurrency-safe memo of back-end compilations
@@ -220,6 +223,10 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 		return be
 	}
 	pe := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & foldDefects, optimize: effOpt}, fe, ce.prog)
+	if pe.errMsg != "" {
+		be.outcome, be.msg = BuildFailure, pe.errMsg
+		return be
+	}
 	be.prog, be.code = pe.prog, pe.code
 	be.info = ce.info
 	return be
@@ -271,7 +278,11 @@ func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) *p
 	if key.optimize {
 		prog = opt.Optimize(prog, key.defects)
 	}
-	ne := &progEntry{src: fe.Canon, prog: prog, code: lowerProgram(prog)}
+	cp, err := lowerProgram(prog)
+	ne := &progEntry{src: fe.Canon, prog: prog, code: cp}
+	if err != nil {
+		ne.errMsg = err.Error()
+	}
 	if !collided {
 		bc.mu.Lock()
 		if _, ok := bc.progs[key]; !ok {
@@ -353,7 +364,11 @@ func compileBackEnd(fe *FrontEnd, lvl Level, optimize bool) *backEnd {
 	if optimize {
 		prog = opt.Optimize(prog, lvl.Defects)
 	}
-	be.prog, be.info = prog, info
-	be.code = lowerProgram(prog)
+	cp, err := lowerProgram(prog)
+	if err != nil {
+		be.outcome, be.msg = BuildFailure, err.Error()
+		return be
+	}
+	be.prog, be.info, be.code = prog, info, cp
 	return be
 }

@@ -74,8 +74,8 @@ type Kernel struct {
 	Prog      *ast.Program
 	Info      *sema.Info
 	// Code is the register bytecode lowered from Prog, cached alongside
-	// it in the BackCache (nil when lowering fell back; such kernels run
-	// on the tree-walking engine regardless of the engine selection).
+	// it in the BackCache. Every successfully compiled kernel has it: a
+	// program that does not lower is a build failure.
 	Code  *code.Program
 	Hash  uint64
 	level Level
@@ -83,10 +83,10 @@ type Kernel struct {
 
 // DefaultEngine is the process-wide engine selection applied when
 // RunOptions.Engine is EngineAuto: by default the register VM runs every
-// kernel that lowered successfully. The CLFUZZ_ENGINE environment
-// variable ("tree" or "vm") overrides it at startup, which is how CI's
-// tree-engine fallback job guards the reference interpreter from rot;
-// the campaign binaries also expose it as a -engine flag.
+// kernel. The CLFUZZ_ENGINE environment variable ("tree" or "vm") sets
+// it at startup and is the one engine switch: CI's tree-engine job and
+// the benchmark's reference check run whole processes on the tree-walking
+// reference with CLFUZZ_ENGINE=tree.
 var DefaultEngine = exec.EngineAuto
 
 func init() {
@@ -194,8 +194,8 @@ type RunOptions struct {
 	// group-level fan-out never oversubscribe the machine.
 	Workers int
 	// Engine forces the evaluation engine for this run; EngineAuto (the
-	// zero value) defers to DefaultEngine, under which lowered kernels
-	// run on the register VM. Outputs are byte-identical either way.
+	// zero value) defers to DefaultEngine, under which kernels run on the
+	// register VM. Outputs are byte-identical either way.
 	Engine exec.Engine
 	// Ctx cancels the launch cooperatively at work-group boundaries; a
 	// launch stopped this way reports the Canceled outcome. nil runs to
@@ -204,7 +204,7 @@ type RunOptions struct {
 	// Cover, when non-nil, accumulates VM edge coverage and defect-site
 	// hit counts for this launch. Observation only: outcomes and outputs
 	// are byte-identical with coverage on or off. Launches that resolve
-	// to the tree engine record nothing (coverage-off fallback).
+	// to the tree engine record nothing.
 	Cover *exec.CoverMap
 	// Pool selects the executor launch-state pool this run recycles its
 	// working set through; nil uses the executor's process-wide pool.
@@ -244,8 +244,6 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		Hash:       k.Hash,
 		Fuel:       int64(float64(fuel) * ff),
 		CheckRaces: ro.CheckRaces,
-		Code:       k.Code,
-		Engine:     engine,
 		Ctx:        ro.Ctx,
 		// Barrier-free kernels (the common case for generated tests) take
 		// the executor's goroutine-free sequential fast path.
@@ -258,6 +256,10 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		HasFwdDecl: k.Info.HasFwdDecl,
 		Cover:      ro.Cover,
 		Pool:       ro.Pool,
+	}
+	// The executor runs the VM exactly when it is handed bytecode.
+	if engine != exec.EngineTree {
+		opts.Code = k.Code
 	}
 	err := exec.Run(k.Prog, nd, args, opts)
 	switch err.(type) {

@@ -20,8 +20,9 @@
 //     bounded, concurrency-safe FrontCache (DefaultFrontCache) keyed by
 //     the source hash.
 //   - The back end — semantic analysis under the level's defect set,
-//     the compile-time defect gates, the always-on front-end folds, and
-//     the optimization pipeline — is memoized in a BackCache
+//     the compile-time defect gates, the always-on front-end folds, the
+//     optimization pipeline, and lowering to the register bytecode the
+//     VM runs — is memoized in a BackCache
 //     (DefaultBackCache) keyed by (source hash, defect set, gate
 //     divisors, effective optimize). Every (configuration, level) pair
 //     whose defect model compiles the source identically shares one
@@ -32,6 +33,13 @@
 //     foldDefects), so even distinct models share the checked program
 //     and the folded/optimized program whenever those phases cannot
 //     tell the models apart.
+//
+// Lowering is total: a program internal/code cannot lower is a build
+// failure whose message is the lowering error, on the cached and the
+// uncached path alike, so every runnable Kernel carries bytecode and
+// campaigns run one engine, the VM. The tree-walking reference runs only
+// when CLFUZZ_ENGINE=tree (DefaultEngine) or RunOptions.Engine asks for
+// it.
 //
 // Config.Compile combines both levels; CompileFrontEnd reuses an
 // already-parsed front end; CompileUncached bypasses every cache and is
@@ -53,11 +61,10 @@
 // and may be executing on any number of goroutines. The executor
 // enforces this in checked builds — exec.SetDebugImmutable makes every
 // launch fingerprint the program before and after running — and the CI
-// determinism jobs run with the assertion armed. The two sanctioned
-// node-level annotations (the evaluator's VarRef resolution slot, an
-// atomically-accessed cache validated on every read, and sema's Member
-// field index, written only during checking) are invisible to printed
-// source and safe under sharing.
+// determinism jobs run with the assertion armed. Neither engine keeps
+// state on AST nodes; the one annotation invisible to printed source,
+// sema's Member field index, is written only during checking, into the
+// fresh tree sema builds.
 //
 // Reference returns a defect-free configuration (not part of Table 1)
 // used wherever a trustworthy executor is needed: expected-output

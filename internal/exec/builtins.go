@@ -406,17 +406,14 @@ func (t *thread) evalUserCall(ex *ast.Call, out *Value) error {
 	// argument's side effects cannot retroactively change an earlier
 	// argument, exactly the semantics the old copy-at-load gave.
 	saved := t.env
-	frame := t.pushEnv(nil)
-	frame.frame = true
+	frame := &env{frame: true}
 	var arg Value
 	for i, p := range f.Params {
 		if err := t.evalExpr(ex.Args[i], &arg); err != nil {
-			t.popEnv(frame)
 			return err
 		}
 		c := t.newPrivCell(p.Type)
 		if err := storeCell(c, &arg, t.m.unshared); err != nil {
-			t.popEnv(frame)
 			return err
 		}
 		frame.define(p.Name, c, true)
@@ -427,7 +424,6 @@ func (t *thread) evalUserCall(ex *ast.Call, out *Value) error {
 	cf, err := t.execBlock(f.Body)
 	t.depth--
 	t.env = saved
-	t.popEnv(frame)
 	if err != nil {
 		return err
 	}

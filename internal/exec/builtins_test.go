@@ -36,8 +36,7 @@ func runBuiltins(t *testing.T, src string, nd exec.NDRange) (out, ctr []uint64) 
 			NoBarrier:  !info.HasBarrier,
 			NoAtomics:  !info.HasAtomic,
 			HasFwdDecl: info.HasFwdDecl,
-			Code:       lowered,
-			Engine:     engine,
+			Code:       codeFor(engine, lowered),
 		})
 		return ob.Scalars(), cb.Scalars(), err
 	}

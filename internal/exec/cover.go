@@ -16,7 +16,8 @@ import (
 // byte-identical with coverage on or off, and a nil Cover skips every
 // recording branch so coverage-off runs pay only a predictable-branch
 // nil check. The tree-walking reference engine records nothing — callers
-// that force it fall back to coverage-off and must tolerate an empty map.
+// that force it (CLFUZZ_ENGINE=tree) run coverage-off and must tolerate an
+// empty map.
 //
 // The edge space is a fixed CoverBits-entry bitmap shared by every
 // program: the same (fn, pc, target) coordinates in two different kernels

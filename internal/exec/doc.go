@@ -13,22 +13,26 @@
 //
 // # Two engines
 //
-// Run evaluates kernel code with one of two engines selected by
-// Options.Engine:
+// Run evaluates kernel code with one of two engines, chosen by whether
+// the launch carries bytecode:
 //
-//   - The register VM (the default whenever Options.Code carries a
-//     lowered program from internal/code) dispatches a flat instruction
-//     stream with operands pre-resolved to frame slots, flat-buffer word
-//     offsets, field indices and function indices — no AST walk, no
-//     scope-chain scan, no VarRef slot cache on the hot path. It has one
-//     dispatch loop (vmLoop, a switch over the opcode) and one fuel
-//     model: each instruction charges its lowered Cost as it dispatches.
-//   - The tree walker (Options.Engine == EngineTree, or any program the
-//     lowerer declined) recursively evaluates the AST. It is the
-//     reference: the VM's instruction costs mirror its step() charges
-//     one for one, so outcomes — including fuel-derived timeouts — and
-//     buffer contents are byte-identical between the engines. The
-//     determinism suites and the FuzzLowerMatchesTree target pin this.
+//   - The register VM (whenever Options.Code carries a lowered program
+//     from internal/code) dispatches a flat instruction stream with
+//     operands pre-resolved to frame slots, flat-buffer word offsets,
+//     field indices and function indices — no AST walk, no scope-chain
+//     scan on the hot path. It has one dispatch loop (vmLoop, a switch
+//     over the opcode) and one fuel model: each instruction charges its
+//     lowered Cost as it dispatches. Campaigns run it unless the process
+//     selects the reference with CLFUZZ_ENGINE=tree.
+//   - The tree walker (Options.Code == nil; device.Kernel.Run passes no
+//     Code when CLFUZZ_ENGINE=tree) recursively evaluates the AST with
+//     plain scope-chain lookup by name, a fresh scope per declaring
+//     block and local operands. It is the reference, kept obviously
+//     right rather than fast: the VM's instruction costs mirror its
+//     step() charges one for one, so outcomes — including fuel-derived
+//     timeouts — and buffer contents are byte-identical between the
+//     engines. The determinism suites and the FuzzLowerMatchesTree
+//     target pin this.
 //
 // Both engines share everything below expression evaluation: the cell
 // arena, flat buffer words, lvalues, barrier machinery, race checker,
@@ -84,14 +88,12 @@
 // immutable artifacts shared across configurations (device.BackCache)
 // and concurrent launches, and the campaign engine replays one launch's
 // result for every configuration with the same defect model — a single
-// in-place mutation would silently corrupt all of them. The only
-// node-level state the evaluator touches are two sanctioned annotation
-// caches: the VarRef resolution slot (accessed atomically and validated
-// before every use, so a stale value is only a miss) and the Member
-// field index written by sema during checking. SetDebugImmutable arms a
-// checked mode — every launch fingerprints the program's printed source
-// before and after executing and panics on any difference — which the
-// determinism test suites run under -race.
+// in-place mutation would silently corrupt all of them. Neither engine
+// keeps any state on AST nodes; the Member field index both read is
+// written by sema, during checking, into the fresh tree it builds.
+// SetDebugImmutable arms a checked mode — every launch fingerprints the
+// program's printed source before and after executing and panics on any
+// difference — which the determinism test suites run under -race.
 //
 // Aggregate loads borrow: loading a struct or array rvalue yields a
 // read-only view of the stored cells rather than a deep copy whenever no

@@ -35,10 +35,19 @@ func launchEngine(t *testing.T, src string, nd exec.NDRange, workers int, engine
 		HasFwdDecl: info.HasFwdDecl,
 		Workers:    workers,
 		Fuel:       fuel,
-		Code:       lowered,
-		Engine:     engine,
+		Code:       codeFor(engine, lowered),
 	})
 	return out.Scalars(), runErr
+}
+
+// codeFor returns the bytecode a launch on engine is handed: the executor
+// runs the VM exactly when a launch carries Code, so the tree walker gets
+// none.
+func codeFor(engine exec.Engine, cp *code.Program) *code.Program {
+	if engine == exec.EngineTree {
+		return nil
+	}
+	return cp
 }
 
 // engineKernels covers constructs beyond the parallel set: user calls

@@ -36,19 +36,7 @@ type thread struct {
 	// because evaluators fully assign their out-value before returning and
 	// never read it after nested statement execution).
 	scratch Value
-	// tmps is a depth-indexed stack of operand temporaries for the binary
-	// and assignment evaluators, replacing per-call stack Values (whose
-	// mandatory zeroing dominated the evaluator's flat profile). Slots
-	// between tmpTop and the end are free; evaluators restore tmpTop on
-	// exit and never read a slot before fully assigning it.
-	tmps   [24]Value
-	tmpTop int
 
-	// envPool recycles scope objects: loops that declare variables push
-	// and pop a scope every iteration, and a map-backed environment made
-	// that a map allocation per iteration. Scopes are small, so linear
-	// scans over a slice beat map hashing as well.
-	envPool []*env
 	// cells is the arena for private cells (declarations, parameters,
 	// initializer temporaries). Cells are handed out by pointer and stay
 	// alive as long as something references them; the arena batches their
@@ -80,29 +68,13 @@ func (t *thread) grabWords(n int) []uint64 { return t.words.grab(n) }
 
 // binding is one declared name in a scope.
 type binding struct {
-	key   uint64 // nameKey(name): length plus leading bytes, for fast scans
 	name  string
 	c     *Cell
 	param bool
 }
 
-// nameKey packs a string's length and up to its first seven bytes into one
-// word. Keys differing implies the strings differ, so scope scans compare
-// one word per binding instead of calling string comparison; for names of
-// at most seven bytes (every generated identifier) equal keys also imply
-// equal strings.
-func nameKey(s string) uint64 {
-	k := uint64(len(s)) << 56
-	n := len(s)
-	if n > 7 {
-		n = 7
-	}
-	for i := 0; i < n; i++ {
-		k |= uint64(s[i]) << (8 * uint(i))
-	}
-	return k
-}
-
+// env is one lexical scope: the bindings declared in it, newest last, and
+// the enclosing scope.
 type env struct {
 	parent *env
 	vars   []binding
@@ -111,77 +83,23 @@ type env struct {
 	frame bool
 }
 
-// pushEnv enters a child scope, reusing a pooled scope object when one is
-// available.
-func (t *thread) pushEnv(parent *env) *env {
-	if n := len(t.envPool); n > 0 {
-		e := t.envPool[n-1]
-		t.envPool = t.envPool[:n-1]
-		e.parent = parent
-		return e
-	}
-	return &env{parent: parent}
-}
-
-// popEnv leaves the scope and returns it to the pool.
-func (t *thread) popEnv(e *env) {
-	e.vars = e.vars[:0]
-	e.parent = nil
-	e.frame = false
-	t.envPool = append(t.envPool, e)
-}
-
 // define binds name in the scope. Scans in lookup run newest-first, so a
-// rebinding shadows like the map assignment it replaces.
+// rebinding shadows the earlier one.
 func (e *env) define(name string, c *Cell, param bool) {
-	e.vars = append(e.vars, binding{key: nameKey(name), name: name, c: c, param: param})
+	e.vars = append(e.vars, binding{name: name, c: c, param: param})
 }
 
+// lookup resolves name by walking the scope chain outward, falling back
+// to the program-scope constants; nil means undefined.
 func (t *thread) lookup(name string) *Cell {
-	key := nameKey(name)
-	long := len(name) > 7 // key collisions possible only for long names
 	for e := t.env; e != nil; e = e.parent {
 		for i := len(e.vars) - 1; i >= 0; i-- {
-			if e.vars[i].key == key && (!long || e.vars[i].name == name) {
+			if e.vars[i].name == name {
 				return e.vars[i].c
 			}
 		}
 	}
 	return t.m.globals[name]
-}
-
-// lookupRef resolves a variable reference, memoizing the scope coordinates
-// (parent hops and binding index) on the node itself. Every execution of a
-// given reference sees the same scope-chain shape — scopes push at fixed
-// statement positions — so after the first resolution the scan collapses
-// to a couple of pointer hops plus one key comparison; the comparison
-// also validates the cache, so a wrong slot can only cost a rescan.
-func (t *thread) lookupRef(ex *ast.VarRef) *Cell {
-	key := nameKey(ex.Name)
-	long := len(ex.Name) > 7
-	if s := ex.LoadSlot(); s != 0 {
-		up := int(s>>32) - 1
-		idx := int(uint32(s)) - 1
-		e := t.env
-		for i := 0; i < up && e != nil; i++ {
-			e = e.parent
-		}
-		if e != nil && idx >= 0 && idx < len(e.vars) &&
-			e.vars[idx].key == key && (!long || e.vars[idx].name == ex.Name) {
-			return e.vars[idx].c
-		}
-	}
-	up := 0
-	for e := t.env; e != nil; e = e.parent {
-		for i := len(e.vars) - 1; i >= 0; i-- {
-			if e.vars[i].key == key && (!long || e.vars[i].name == ex.Name) {
-				ex.StoreSlot(uint64(up+1)<<32 | uint64(i+1))
-				return e.vars[i].c
-			}
-		}
-		up++
-	}
-	return t.m.globals[ex.Name]
 }
 
 // isParam reports whether name is a parameter of the current function
@@ -289,16 +207,14 @@ func (t *thread) run() error {
 }
 
 func (t *thread) runKernel() error {
-	t.env = t.pushEnv(nil)
-	t.env.frame = true
+	t.env = &env{frame: true}
 	for _, p := range t.m.kernel.Params {
 		arg := t.m.args[p.Name]
 		c := t.newPrivCell(p.Type)
-		if pt, ok := p.Type.(*cltypes.Pointer); ok {
+		if _, ok := p.Type.(*cltypes.Pointer); ok {
 			if arg.Buf == nil {
 				return fmt.Errorf("exec: kernel argument %q requires a buffer", p.Name)
 			}
-			_ = pt
 			if arg.Buf.wordT != nil {
 				c.Ptr = Ptr{Flat: arg.Buf}
 			} else {
@@ -320,19 +236,11 @@ func (t *thread) execBlock(b *ast.Block) (ctrl, error) {
 	// created only when the first declaration executes. Name resolution
 	// before that point is identical either way.
 	saved := t.env
-	pushed := false
-	defer func() {
-		if pushed {
-			e := t.env
-			t.env = saved
-			t.popEnv(e)
-		}
-	}()
+	defer func() { t.env = saved }()
 	for _, s := range b.Stmts {
-		if !pushed {
+		if t.env == saved {
 			if _, isDecl := s.(*ast.DeclStmt); isDecl {
-				t.env = t.pushEnv(saved)
-				pushed = true
+				t.env = &env{parent: saved}
 			}
 		}
 		c, err := t.execStmt(s)
@@ -357,7 +265,7 @@ func (t *thread) execStmt(s ast.Stmt) (ctrl, error) {
 			if err := t.step(); err != nil { // the step evalExpr would charge
 				return ctrlNone, err
 			}
-			return ctrlNone, t.evalAssignInner(asn, nil)
+			return ctrlNone, t.evalAssign(asn, nil)
 		}
 		return ctrlNone, t.evalExpr(st.X, &t.scratch)
 	case *ast.Block:
@@ -399,39 +307,24 @@ func (t *thread) execStmt(s ast.Stmt) (ctrl, error) {
 }
 
 func (t *thread) execFor(st *ast.For) (ctrl, error) {
-	// Lazy scope push, mirroring execBlock: the for scope materializes
-	// only when the init clause declares the induction variable. Beyond
-	// saving a scope push per plain-assignment loop, this keeps the
-	// scope-chain SHAPE at every AST node a function of the declarations
-	// that execute before it — never of the loop syntax around it — which
-	// the VarRef slot cache relies on when optimization passes share
-	// nodes between program variants (a dead for loop rewritten to a
-	// plain block must present the identical chain to the shared init
-	// statement).
+	// An init declaration scopes its induction variable to the loop;
+	// without one the loop adds no scope.
 	if _, isDecl := st.Init.(*ast.DeclStmt); isDecl {
 		saved := t.env
-		t.env = t.pushEnv(saved)
-		defer func() {
-			e := t.env
-			t.env = saved
-			t.popEnv(e)
-		}()
+		t.env = &env{parent: saved}
+		defer func() { t.env = saved }()
 	}
 	if st.Init != nil {
 		if _, err := t.execStmt(st.Init); err != nil {
 			return ctrlNone, err
 		}
 	}
-	return t.execLoopBody(st, st.Cond, st.Post, st.Body, false)
+	return t.execLoop(st, st.Cond, st.Post, st.Body, false)
 }
 
-func (t *thread) execLoop(init ast.Stmt, cond ast.Expr, post ast.Expr, body *ast.Block, doFirst bool) (ctrl, error) {
-	return t.execLoopBody(nil, cond, post, body, doFirst)
-}
-
-// execLoopBody runs the shared loop protocol. forNode is non-nil for for
+// execLoop runs the shared loop protocol. forNode is non-nil for for
 // loops, enabling the Figure 2(d) dead-loop-with-barrier defect model.
-func (t *thread) execLoopBody(forNode *ast.For, cond ast.Expr, post ast.Expr, body *ast.Block, doFirst bool) (ctrl, error) {
+func (t *thread) execLoop(forNode *ast.For, cond ast.Expr, post ast.Expr, body *ast.Block, doFirst bool) (ctrl, error) {
 	t.iterStack = append(t.iterStack, 0)
 	defer func() { t.iterStack = t.iterStack[:len(t.iterStack)-1] }()
 	iterations := uint64(0)
@@ -647,29 +540,6 @@ func unionHasSmallLeadStruct(ut *cltypes.StructT) bool {
 
 // ---- lvalues ----
 
-func (t *thread) evalLV(e ast.Expr) (lval, error) {
-	// Fast path outside the tmp-slot discipline: a plain variable is the
-	// most common lvalue by far.
-	if vr, ok := e.(*ast.VarRef); ok {
-		c := t.lookupRef(vr)
-		if c == nil {
-			return lval{}, fmt.Errorf("exec: undefined variable %q", vr.Name)
-		}
-		return directLV(c, t.m.unshared), nil
-	}
-	var tmp *Value
-	d := t.tmpTop
-	if d < len(t.tmps) {
-		t.tmpTop = d + 1
-		tmp = &t.tmps[d]
-	} else {
-		tmp = new(Value)
-	}
-	lv, err := t.evalLVTmp(e, tmp)
-	t.tmpTop = d
-	return lv, err
-}
-
 // ptrLV resolves a pointer to the lvalue it addresses: a word view for
 // flat-buffer pointers, a direct cell otherwise. Null, dangling, and
 // out-of-range pointers report a crash with the given message.
@@ -686,19 +556,25 @@ func (t *thread) ptrLV(p Ptr, crashMsg string) (lval, error) {
 	return lval{}, &CrashError{Msg: crashMsg}
 }
 
-// evalLVTmp resolves non-VarRef lvalues; tmp holds intermediate values
-// (index, base pointer) without a fresh stack Value per call.
-func (t *thread) evalLVTmp(e ast.Expr, tmp *Value) (lval, error) {
+// evalLV resolves an lvalue expression to the storage it designates.
+func (t *thread) evalLV(e ast.Expr) (lval, error) {
+	var tmp Value
 	switch ex := e.(type) {
+	case *ast.VarRef:
+		c := t.lookup(ex.Name)
+		if c == nil {
+			return lval{}, fmt.Errorf("exec: undefined variable %q", ex.Name)
+		}
+		return directLV(c, t.m.unshared), nil
 	case *ast.Unary:
 		if ex.Op == ast.Deref {
-			if err := t.evalExpr(ex.X, tmp); err != nil {
+			if err := t.evalExpr(ex.X, &tmp); err != nil {
 				return lval{}, err
 			}
 			return t.ptrLV(tmp.Ptr, "null or dangling pointer dereference")
 		}
 	case *ast.Index:
-		if err := t.evalExpr(ex.Idx, tmp); err != nil {
+		if err := t.evalExpr(ex.Idx, &tmp); err != nil {
 			return lval{}, err
 		}
 		is, ok := tmp.T.(*cltypes.Scalar)
@@ -707,7 +583,7 @@ func (t *thread) evalLVTmp(e ast.Expr, tmp *Value) (lval, error) {
 		}
 		idx := int(cltypes.AsInt64(tmp.Scalar, is))
 		if _, isPtr := ex.Base.Type().(*cltypes.Pointer); isPtr {
-			if err := t.evalExpr(ex.Base, tmp); err != nil {
+			if err := t.evalExpr(ex.Base, &tmp); err != nil {
 				return lval{}, err
 			}
 			return t.ptrLV(tmp.Ptr.At(idx), "out-of-bounds buffer access")
@@ -726,7 +602,7 @@ func (t *thread) evalLVTmp(e ast.Expr, tmp *Value) (lval, error) {
 	case *ast.Member:
 		var base *Cell
 		if ex.Arrow {
-			if err := t.evalExpr(ex.Base, tmp); err != nil {
+			if err := t.evalExpr(ex.Base, &tmp); err != nil {
 				return lval{}, err
 			}
 			base = tmp.Ptr.Target()

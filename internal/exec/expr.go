@@ -27,17 +27,11 @@ func (t *thread) evalExpr(e ast.Expr, out *Value) error {
 		return nil
 
 	case *ast.VarRef:
-		if c := t.lookupRef(ex); c != nil {
+		if c := t.lookup(ex.Name); c != nil {
 			if t.m.opts.CheckRaces {
 				if err := t.noteAccess(c, false, false); err != nil {
 					return err
 				}
-			}
-			// Inline scalar load: private cells (and any cell during a
-			// single-goroutine launch) need no atomics and no dispatch.
-			if sc, ok := c.Typ.(*cltypes.Scalar); ok && (t.m.unshared || !c.Shared) {
-				*out = Value{T: sc, Scalar: c.Val}
-				return nil
 			}
 			return loadCell(c, t.m.unshared, out)
 		}
@@ -360,26 +354,11 @@ func (t *thread) evalBinary(ex *ast.Binary, out *Value) error {
 			return nil
 		}
 	}
-	var lv, rv *Value
-	d := t.tmpTop
-	if d+2 <= len(t.tmps) {
-		t.tmpTop = d + 2
-		lv, rv = &t.tmps[d], &t.tmps[d+1]
-	} else {
-		lv, rv = new(Value), new(Value) // pathological nesting depth
-	}
-	err := t.evalBinaryOperands(ex, lv, rv, out)
-	t.tmpTop = d
-	return err
-}
-
-// evalBinaryOperands evaluates both operands into the supplied temporaries
-// and applies the operator.
-func (t *thread) evalBinaryOperands(ex *ast.Binary, lv, rv, out *Value) error {
-	if err := t.evalExpr(ex.L, lv); err != nil {
+	var lv, rv Value
+	if err := t.evalExpr(ex.L, &lv); err != nil {
 		return err
 	}
-	if err := t.evalExpr(ex.R, rv); err != nil {
+	if err := t.evalExpr(ex.R, &rv); err != nil {
 		return err
 	}
 	// Pointer comparisons.
@@ -392,7 +371,7 @@ func (t *thread) evalBinaryOperands(ex *ast.Binary, lv, rv, out *Value) error {
 		}
 		return nil
 	}
-	return t.applyBinary(ex.Op, lv, rv, ex.Type(), out)
+	return t.applyBinary(ex.Op, &lv, &rv, ex.Type(), out)
 }
 
 // applyBinary computes a (possibly vector) binary operation with the result
@@ -552,63 +531,29 @@ func shiftOp(op ast.BinOp, a, b uint64, t, bt *cltypes.Scalar) (uint64, error) {
 	return cltypes.Shr(a, b, t, bt), nil
 }
 
-func (t *thread) evalAssign(ex *ast.AssignExpr, out *Value) error {
-	return t.evalAssignInner(ex, out)
-}
-
-// evalAssignInner performs the assignment; out == nil marks statement
+// evalAssign resolves the destination, computes the stored value, and
+// applies the store plus its defect models. out == nil marks statement
 // position, where the expression's value is discarded and the post-store
 // reload (which exists only to produce that value) is skipped.
-func (t *thread) evalAssignInner(ex *ast.AssignExpr, out *Value) error {
-	var rv *Value
-	d := t.tmpTop
-	if d < len(t.tmps) {
-		t.tmpTop = d + 1
-		rv = &t.tmps[d]
-	} else {
-		rv = new(Value)
-	}
-	err := t.evalAssignStore(ex, rv, out)
-	t.tmpTop = d
-	return err
-}
-
-// evalCompound folds the destination's current value into rv for a
-// compound assignment, using tmp-stack slots for the operands.
-func (t *thread) evalCompound(ex *ast.AssignExpr, lv lval, rv *Value) error {
-	var old, combined *Value
-	d := t.tmpTop
-	if d+2 <= len(t.tmps) {
-		t.tmpTop = d + 2
-		old, combined = &t.tmps[d], &t.tmps[d+1]
-	} else {
-		old, combined = new(Value), new(Value)
-	}
-	err := lv.load(old)
-	if err == nil {
-		err = t.applyBinary(ex.Op.BinOp(), old, rv, compoundType(lv.typ(), rv.T), combined)
-	}
-	if err == nil {
-		*rv = *combined
-	}
-	t.tmpTop = d
-	return err
-}
-
-// evalAssignStore resolves the destination, computes the stored value into
-// the rv temporary, and applies the store plus its defect models.
-func (t *thread) evalAssignStore(ex *ast.AssignExpr, rv, out *Value) error {
+func (t *thread) evalAssign(ex *ast.AssignExpr, out *Value) error {
 	lv, err := t.evalLV(ex.LHS)
 	if err != nil {
 		return err
 	}
-	if err := t.evalExpr(ex.RHS, rv); err != nil {
+	var rv Value
+	if err := t.evalExpr(ex.RHS, &rv); err != nil {
 		return err
 	}
 	if ex.Op != ast.Assign {
-		if err := t.evalCompound(ex, lv, rv); err != nil {
+		// Compound assignment folds the destination's current value in.
+		var old, combined Value
+		if err := lv.load(&old); err != nil {
 			return err
 		}
+		if err := t.applyBinary(ex.Op.BinOp(), &old, &rv, compoundType(lv.typ(), rv.T), &combined); err != nil {
+			return err
+		}
+		rv = combined
 	}
 	// Defect models that drop stores or crash (Figures 1(d) and 2(c)).
 	drop, err := t.defectiveStore(ex)
@@ -617,7 +562,7 @@ func (t *thread) evalAssignStore(ex *ast.AssignExpr, rv, out *Value) error {
 	}
 	if drop {
 		if out != nil {
-			*out = *rv
+			*out = rv
 		}
 		return nil
 	}
@@ -626,7 +571,7 @@ func (t *thread) evalAssignStore(ex *ast.AssignExpr, rv, out *Value) error {
 			return err
 		}
 	}
-	if err := lv.store(rv); err != nil {
+	if err := lv.store(&rv); err != nil {
 		return err
 	}
 	// Struct-copy defect models (Figures 1(b) and the §6 struct problems):

@@ -97,15 +97,10 @@ type Options struct {
 	// with a later definition, a trigger for the Figure 2(c) defects.
 	HasFwdDecl bool
 	// Code is the lowered register bytecode of the program (the same
-	// checked AST, compiled once by internal/code). When present and the
-	// Engine selection allows it, Run executes the VM dispatch loop
-	// instead of the tree walk; outputs are byte-identical either way.
+	// checked AST, compiled once by internal/code). A launch runs the VM
+	// dispatch loop exactly when Code is present and the reference tree
+	// walker otherwise; outputs are byte-identical either way.
 	Code *code.Program
-	// Engine forces an evaluation engine: EngineAuto (the default) runs
-	// the VM whenever Code is available, EngineTree forces the reference
-	// tree walker, EngineVM requests the VM (falling back to the tree
-	// walker when no lowered program was supplied).
-	Engine Engine
 	// Ctx cancels the launch cooperatively: Run consults it at work-group
 	// boundaries (never mid-thread, where fuel already bounds progress)
 	// and returns a *CancelError once it fires. nil runs to completion.
@@ -330,11 +325,11 @@ var debugImmutable atomic.Bool
 // run-deduplication layer replays one launch's result for every
 // configuration with the same defect model. With the assertion armed,
 // every Run snapshots a fingerprint of the program's printed source before
-// executing and verifies it afterwards, panicking on any mutation. (The
-// two sanctioned node-level caches — the VarRef resolution slot and the
-// Member field index — do not appear in printed source; both are
-// annotations the evaluator validates before trusting.) The determinism
-// test suites arm it under -race; it is far too slow for campaigns.
+// executing and verifies it afterwards, panicking on any mutation. Neither
+// engine keeps state on AST nodes; the one annotation that does not print,
+// the Member field index, is written by sema into its own fresh tree
+// before any launch sees it. The determinism test suites arm the
+// assertion under -race; it is far too slow for campaigns.
 func SetDebugImmutable(on bool) { debugImmutable.Store(on) }
 
 // fingerprint hashes the program's printed source.
@@ -462,7 +457,7 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	m.parallelGroups = parallelGroups
 	m.unshared = sequential && !parallelGroups
 	m.dom = state.freshDom()
-	if opts.Code != nil && opts.Engine != EngineTree {
+	if opts.Code != nil {
 		m.code = opts.Code
 		m.vmSerial = &state.serialVM
 		vmLaunches.Add(1)

@@ -40,8 +40,7 @@ func launch(t *testing.T, src string, nd exec.NDRange, workers int, engine exec.
 		NoAtomics:  !info.HasAtomic,
 		HasFwdDecl: info.HasFwdDecl,
 		Workers:    workers,
-		Code:       lowered,
-		Engine:     engine,
+		Code:       codeFor(engine, lowered),
 	})
 	return out.Scalars(), runErr
 }
@@ -176,8 +175,7 @@ kernel void k(global ulong *out) {
 			NoAtomics: !info.HasAtomic,
 			Fuel:      50_000,
 			Workers:   workers,
-			Code:      lowered,
-			Engine:    engine,
+			Code:      codeFor(engine, lowered),
 		})
 	}
 	serial := runWith(1, exec.EngineTree)
@@ -303,7 +301,6 @@ func launchObserved(prog *ast.Program, info *sema.Info, cp *code.Program, nd exe
 		Workers:    workers,
 		Fuel:       fuel,
 		Code:       cp,
-		Engine:     exec.EngineVM,
 		Stats:      &st,
 		Cover:      cov,
 	})

@@ -13,7 +13,7 @@ package exec
 //   - Everything a launch may read before writing is zeroed at acquire
 //     time (arena used regions, maps, flags, counters).
 //   - Everything written before read under an existing engine contract
-//     (VM registers, operand temporaries, scratch) may stay stale.
+//     (VM registers, scratch, return values) may stay stale.
 //   - A launch that panics on the calling goroutine drops its state on
 //     the floor instead of returning it — a half-unwound launchState is
 //     never reused.
@@ -313,11 +313,11 @@ func (gs *groupState) thread(i int) *thread {
 }
 
 // resetState rearms a pooled thread for one work-item: scope chain
-// released, arenas re-zeroed, control flags dropped. scratch, tmps,
-// retVal and the VM register stacks stay stale by contract — every
-// engine fully assigns them before reading.
+// dropped, arenas re-zeroed, control flags dropped. scratch, retVal and
+// the VM register stacks stay stale by contract — every engine fully
+// assigns them before reading.
 func (t *thread) resetState(m *Machine, g *groupCtx, gid, lid [3]int, fuel int64) {
-	t.releaseEnvs()
+	t.env = nil
 	t.m = m
 	t.group = g
 	if g != nil {
@@ -337,18 +337,6 @@ func (t *thread) resetState(m *Machine, g *groupCtx, gid, lid [3]int, fuel int64
 	t.kids.reset()
 	t.words.reset()
 	t.bytes.reset()
-}
-
-// releaseEnvs returns the thread's remaining scope chain to the env pool
-// (the kernel frame is pushed by runKernel and deliberately left for the
-// thread's end; with pooled threads, "the end" is here).
-func (t *thread) releaseEnvs() {
-	for e := t.env; e != nil; {
-		p := e.parent
-		t.popEnv(e)
-		e = p
-	}
-	t.env = nil
 }
 
 // ---- poisoning ----
@@ -397,10 +385,6 @@ func (t *thread) poison() {
 	t.iterStack = append(t.iterStack[:0], poisonWord)[:0]
 	t.scratch = Value{Scalar: poisonWord}
 	t.retVal = Value{Scalar: poisonWord}
-	for i := range t.tmps {
-		t.tmps[i] = Value{Scalar: poisonWord}
-	}
-	t.tmpTop = 0
 	if t.vm != nil {
 		poisonVM(t.vm)
 	}

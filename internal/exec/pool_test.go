@@ -49,8 +49,7 @@ func TestPooledReuseAcrossDispatchModes(t *testing.T) {
 				NoAtomics:  !info.HasAtomic,
 				HasFwdDecl: info.HasFwdDecl,
 				Workers:    1,
-				Code:       lowered,
-				Engine:     e,
+				Code:       codeFor(e, lowered),
 				Pool:       p,
 			})
 			return out.Scalars(), runErr

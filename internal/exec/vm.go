@@ -10,13 +10,15 @@ import (
 	"clfuzz/internal/code"
 )
 
-// Engine selects the expression-evaluation engine of a launch.
+// Engine names an evaluation engine. The executor itself runs the VM
+// exactly when a launch carries bytecode (Options.Code); hosts resolve an
+// Engine to that choice (see device.RunOptions.Engine).
 type Engine uint8
 
-// Engines. EngineAuto runs the register VM whenever the caller supplies
-// a lowered program (Options.Code) and falls back to the tree walker
-// otherwise; the two explicit values force one engine for determinism
-// testing and for guarding the reference interpreter from rot.
+// Engines. EngineAuto defers to the process-wide default (the register
+// VM unless CLFUZZ_ENGINE says otherwise); the two explicit values force
+// one engine for determinism testing and for guarding the reference
+// interpreter from rot.
 const (
 	EngineAuto Engine = iota
 	EngineTree
@@ -34,7 +36,7 @@ func (e Engine) String() string {
 	return "auto"
 }
 
-// ParseEngine parses a -engine flag value.
+// ParseEngine parses an engine name as spelled in CLFUZZ_ENGINE.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
@@ -334,9 +336,9 @@ func (t *thread) vmLoop(vm *vmState) error {
 		case code.OpPredef:
 			regs[in.Dst] = scalarValue(uint64(in.A), cltypes.TUInt)
 
-		case code.OpLoadSlot, code.OpLoadGlobal:
+		case code.OpLoadVar, code.OpLoadGlobal:
 			var c *Cell
-			if in.Op == code.OpLoadSlot {
+			if in.Op == code.OpLoadVar {
 				c = fr.slots[in.A]
 			} else {
 				c = t.m.globalCells[in.A]

@@ -16,14 +16,24 @@ func fuzzEngine() *campaign.Engine {
 
 var fuzzTestParams = Params{Table: FuzzTable, Scale: 4, Seed: 9, Threads: 32, Chains: 2}
 
+// pinEngine runs the rest of the test on engine e whatever CLFUZZ_ENGINE
+// selected for the process, restoring the selection afterwards.
+func pinEngine(t *testing.T, e exec.Engine) {
+	saved := device.DefaultEngine
+	device.DefaultEngine = e
+	t.Cleanup(func() { device.DefaultEngine = saved })
+}
+
 // TestFuzzCampaignDeterminism: two independent runs of the fuzz campaign
 // — fresh campaign engines, so no result-cache state crosses over —
 // produce byte-identical record streams, corpus hashes and coverage
 // maps. Run under -race (CI does) with the immutable-program assertion
 // armed, this also pins the chain locking discipline while
-// campaign.Stream fans the interleaved cases over workers.
+// campaign.Stream fans the interleaved cases over workers. It runs on the
+// VM under any CLFUZZ_ENGINE, since only the VM collects coverage.
 func TestFuzzCampaignDeterminism(t *testing.T) {
 	armImmutableAssert(t)
+	pinEngine(t, exec.EngineVM)
 	ctx := context.Background()
 	run := func() ([]byte, []uint64, [][]uint32) {
 		eng := fuzzEngine()
@@ -105,9 +115,7 @@ func TestFuzzShardMergeMatchesDirect(t *testing.T) {
 // deterministically.
 func TestFuzzTreeEngineFallback(t *testing.T) {
 	armImmutableAssert(t)
-	saved := device.DefaultEngine
-	device.DefaultEngine = exec.EngineTree
-	t.Cleanup(func() { device.DefaultEngine = saved })
+	pinEngine(t, exec.EngineTree)
 	ctx := context.Background()
 	p := fuzzTestParams
 	p.Scale = 2
@@ -137,9 +145,11 @@ func TestFuzzTreeEngineFallback(t *testing.T) {
 // TestTableCoverageNeutrality: the paper-table campaigns render
 // byte-identically with engine-wide coverage collection on or off — the
 // Cover hook is observation-only — while the covered run does actually
-// accumulate coverage.
+// accumulate coverage. It runs on the VM under any CLFUZZ_ENGINE, since
+// only the VM collects coverage.
 func TestTableCoverageNeutrality(t *testing.T) {
 	armImmutableAssert(t)
+	pinEngine(t, exec.EngineVM)
 	ctx := context.Background()
 	tables := []Params{
 		{Table: 1, Scale: 1, Seed: 3, Threads: 32},

@@ -12,13 +12,8 @@
 // folding defects); Optimize runs the full pipeline. Every pass is
 // copy-on-write: it returns its input program unchanged when nothing
 // applies, or a new program sharing all untouched subtrees, and never
-// writes to its input. Two invariants follow and are relied on
-// elsewhere. First, compiled programs are immutable and may be shared
-// across configurations and concurrent launches (device.BackCache).
-// Second, no pass removes or reorders a reachable declaration, so the
-// scope-chain shape the executor sees at a shared node is identical in
-// every program variant containing it — the contract behind the
-// evaluator's VarRef resolution-slot cache.
+// writes to its input, so compiled programs are immutable and may be
+// shared across configurations and concurrent launches (device.BackCache).
 // File map: opt.go (pipeline driver, COW rewriters, read-only
 // inspectors), passes.go (individual passes), simplify.go (expression
 // rewrites).

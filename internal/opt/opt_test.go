@@ -186,11 +186,11 @@ func TestDeadCodeElimNestedDeadIf(t *testing.T) {
 
 // TestOptimizeAfterExecutionSharesProgram pins the shared-program flow of
 // the device back cache: one configuration may RUN the checked program
-// (populating the evaluator's VarRef resolution-slot caches) before
-// another configuration OPTIMIZES that same program. Unrolling must not
-// clone populated slots into rewritten scope chains — a stale slot can
-// validate against a same-named shadowed binding and silently read the
-// wrong variable, which here would corrupt a differential verdict.
+// before another configuration OPTIMIZES that same program. Executing a
+// program must leave nothing behind that the optimizer's rewrites (here
+// unrolling, whose clones land in new scope chains next to a same-named
+// outer variable) could carry into the optimized variant, which here
+// would corrupt a differential verdict.
 func TestOptimizeAfterExecutionSharesProgram(t *testing.T) {
 	src := `kernel void k(global ulong *out) {
 		int i = 100;
@@ -208,7 +208,7 @@ func TestOptimizeAfterExecutionSharesProgram(t *testing.T) {
 		return out.Scalar(0)
 	}
 	prog := compileSrc(t, src)
-	want := run(prog) // populate slot caches on the shared checked program
+	want := run(prog) // execute the shared checked program first
 	oprog := opt.Optimize(prog, 0)
 	if got := run(oprog); got != want {
 		t.Fatalf("optimizing a previously executed shared program changed the result: %d != %d", got, want)
