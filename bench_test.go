@@ -8,7 +8,6 @@ package clfuzz_test
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"clfuzz/internal/benchmarks"
@@ -209,8 +208,8 @@ func BenchmarkCompileUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkExecute measures NDRange execution of a compiled kernel on the
-// fully serial executor.
+// BenchmarkExecute measures NDRange execution of a compiled kernel, one
+// launch per iteration.
 func BenchmarkExecute(b *testing.B) {
 	k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 5, MaxTotalThreads: 64})
 	ref := device.Reference()
@@ -231,7 +230,7 @@ func BenchmarkExecute(b *testing.B) {
 // BenchmarkExecuteSteadyState measures the campaign's hot path: the
 // same launch as BenchmarkExecute after one warm-up run has stocked the
 // launch-state pool, so every measured iteration recycles its machine,
-// group executors, threads and VM stacks instead of allocating them.
+// group state, threads and VM stacks instead of allocating them.
 // The allocs/op delta against BenchmarkExecute is the pool's yield;
 // TestSteadyStateAllocs pins it against regression.
 func BenchmarkExecuteSteadyState(b *testing.B) {
@@ -283,29 +282,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 	const ceiling = 220
 	if avg := testing.AllocsPerRun(10, launch); avg > ceiling {
 		t.Fatalf("steady-state launch allocates %.0f objects, ceiling %d", avg, ceiling)
-	}
-}
-
-// BenchmarkExecuteParallel measures the same launch with the work-group
-// fan-out budget set to the whole machine (RunOptions.Workers), the
-// configuration the single-shot hosts (clrun, cldiff, the reducer) use.
-// Output is byte-identical to BenchmarkExecute's; only the schedule
-// differs, so the ratio of the two is the group-parallel speedup.
-func BenchmarkExecuteParallel(b *testing.B) {
-	k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 5, MaxTotalThreads: 64})
-	ref := device.Reference()
-	cr := ref.Compile(k.Src, true)
-	if cr.Outcome != device.OK {
-		b.Fatal(cr.Msg)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		args, result := k.Buffers()
-		rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Workers: workers})
-		if rr.Outcome != device.OK {
-			b.Fatal(rr.Msg)
-		}
 	}
 }
 

@@ -53,14 +53,11 @@ type snapshot struct {
 	Commit     string `json:"commit,omitempty"`
 	Go         string `json:"go"`
 	CPU        string `json:"cpu,omitempty"`
-	// CPUs is GOMAXPROCS at capture time: the parallel benchmarks
-	// (BenchmarkExecuteParallel, the campaign tables) scale with it, so
-	// snapshots from different machines are only comparable through it.
-	CPUs int `json:"cpus,omitempty"`
-	// GroupWorkers is the work-group fan-out budget the parallel execute
-	// benchmark ran with (RunOptions.Workers).
-	GroupWorkers int    `json:"group_workers,omitempty"`
-	Notes        string `json:"notes,omitempty"`
+	// CPUs is GOMAXPROCS at capture time: the parallel benchmarks (the
+	// differential test, the campaign tables) scale with it, so snapshots
+	// from different machines are only comparable through it.
+	CPUs  int    `json:"cpus,omitempty"`
+	Notes string `json:"notes,omitempty"`
 	// Engine is the evaluation engine the run used (vm, tree, or auto, as
 	// set by CLFUZZ_ENGINE), with the engine counters accumulated over the
 	// whole run: launches per engine, VM instructions dispatched, and how
@@ -280,21 +277,6 @@ func main() {
 			}
 		}
 	})
-	groupWorkers := runtime.GOMAXPROCS(0)
-	measure("BenchmarkExecuteParallel", bm, func(b *testing.B) {
-		cr := ref.Compile(k.Src, true)
-		if cr.Outcome != device.OK {
-			b.Fatal(cr.Msg)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			args, result := k.Buffers()
-			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Workers: groupWorkers})
-			if rr.Outcome != device.OK {
-				b.Fatal(rr.Msg)
-			}
-		}
-	})
 	measure("BenchmarkDifferentialTest", bm, func(b *testing.B) {
 		cfgs := harness.AboveThresholdConfigs()
 		for i := 0; i < b.N; i++ {
@@ -396,7 +378,6 @@ func main() {
 		Schema:                 "clfuzz-bench/v1",
 		Go:                     runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPUs:                   runtime.GOMAXPROCS(0),
-		GroupWorkers:           groupWorkers,
 		Engine:                 device.DefaultEngine.String(),
 		VMLaunches:             vmRuns,
 		TreeLaunches:           treeRuns,

@@ -69,7 +69,7 @@ func main() {
 
 	round, lastReport := 0, -1
 	for ; ctx.Err() == nil && (*rounds == 0 || round < *rounds); round++ {
-		campaign.Stream(ctx, len(chains), func(i, _ int) corpus.StepRecord {
+		campaign.Stream(ctx, len(chains), func(i int) corpus.StepRecord {
 			return chains[i].Step(ctx, round)
 		}, func(_ int, rec corpus.StepRecord) {
 			if rec.Outcome == device.Canceled.String() {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
 	"clfuzz/internal/campaign"
@@ -29,8 +28,6 @@ func main() {
 	noopt := flag.Bool("noopt", false, "disable optimizations (-cl-opt-disable)")
 	ndFlag := flag.String("nd", "16x1x1/16x1x1", "NDRange as GXxGYxGZ/LXxLYxLZ")
 	races := flag.Bool("races", false, "enable the data race and barrier divergence checker")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"work-group fan-out budget (1 = fully serial executor; results are identical either way)")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	cacheStats := flag.Bool("cachestats", false,
@@ -105,9 +102,7 @@ func main() {
 	// The run goes through the shared campaign engine — the same
 	// front/back compile caches and cross-base result cache the table
 	// campaigns use, so -cachestats reports live counters.
-	rr := campaign.Default.RunCase(cfg, !*noopt, c, campaign.LaunchOptions{
-		CheckRaces: *races, Workers: *workers, Cover: cov,
-	})
+	rr := campaign.Default.RunCase(cfg, !*noopt, c, campaign.LaunchOptions{CheckRaces: *races, Cover: cov})
 	if rr.Compile {
 		fmt.Printf("outcome: %s\n%s\n", rr.Outcome, rr.Msg)
 		printCacheStats()

@@ -24,7 +24,7 @@
 //   - bugs: the injected compiler-defect model (§6, Figures 1-2)
 //   - device: the 21 Table 1 configurations and the compile-once cache
 //   - exec: the NDRange interpreter (flat scalar buffers, sequential
-//     fast path, parallel work-groups, race checker)
+//     fast path, lockstep barrier schedule, race checker)
 //   - generator: CLsmith (§4)
 //   - emi: EMI injection and pruning (§5)
 //   - oracle: the majority-vote oracle (§3.2)

@@ -181,8 +181,6 @@ type LaunchOptions struct {
 	// BaseFuel is the per-thread step budget before the configuration's
 	// fuel factor; device.DefaultFuel when zero.
 	BaseFuel int64
-	// Workers is the per-launch work-group fan-out budget.
-	Workers int
 	// CheckRaces enables the undefined-behaviour checker; checked runs
 	// bypass the result cache (their diagnostics depend on the checker).
 	CheckRaces bool
@@ -279,7 +277,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 	rr := cr.Kernel.Run(nd, args, result, device.RunOptions{
 		BaseFuel:   o.BaseFuel,
 		CheckRaces: o.CheckRaces,
-		Workers:    o.Workers,
 		Engine:     o.Engine,
 		Ctx:        o.Ctx,
 		Cover:      launchCov,
@@ -303,13 +300,12 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 
 // RunMatrix executes one case's unit matrix: units sharing a source text
 // and a defect model run once (the representative), with the
-// deterministic result copied to the followers; representatives fan out
-// across the stage's worker budget and may be served by the result
-// cache. width is the number of matrices the caller itself runs
-// concurrently (1 for a single differential test); the planner budgets
-// launch-level fan-out against width × representative count so the two
-// levels never oversubscribe the machine. Results are returned in unit
-// order.
+// deterministic result copied to the followers; representatives may be
+// served by the result cache. width is the number of matrices the caller
+// itself runs concurrently (1 for a single differential test);
+// representatives fan out over the cores the caller leaves idle, so the
+// two levels never oversubscribe the machine. Results are returned in
+// unit order.
 func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 	e.cases.Add(1)
 	fes := make([]*device.FrontEnd, len(m.Sources))
@@ -329,7 +325,6 @@ func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 		width = 1
 	}
 	repWorkers := stageWorkers(width, len(reps))
-	launch := LaunchWorkers(width * repWorkers)
 	// The representative stage itself always runs to completion — every
 	// unit gets a result, so follower replication below stays total — but
 	// each unit consults m.Ctx before (and during) its launch and reports
@@ -340,7 +335,7 @@ func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 		src := u.Src
 		results[i] = e.runUnit(u.Cfg, u.Opt, fes[src], m.ND,
 			func() (exec.Args, *exec.Buffer) { return m.Buffers(src) },
-			LaunchOptions{BaseFuel: m.BaseFuel, Workers: launch, Ctx: m.Ctx})
+			LaunchOptions{BaseFuel: m.BaseFuel, Ctx: m.Ctx})
 		return struct{}{}
 	}, func(int, struct{}) {})
 	for i, r := range follower {

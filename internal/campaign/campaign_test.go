@@ -13,21 +13,25 @@ import (
 	"clfuzz/internal/exec"
 )
 
-// TestLaunchWorkersBudget pins the planner arithmetic: case-level times
-// launch-level parallelism never exceeds the machine.
+// TestLaunchWorkersBudget pins the nested-stage arithmetic of
+// stageWorkers. A stage gets at least one worker and never more than it
+// has items, and the caller's width times the stage's fan-out never
+// exceeds the machine.
 func TestLaunchWorkersBudget(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	for _, width := range []int{0, 1, 2, 3, max, max + 1, 10 * max} {
-		lw := LaunchWorkers(width)
-		if lw < 1 {
-			t.Fatalf("LaunchWorkers(%d) = %d, want >= 1", width, lw)
-		}
-		w := width
-		if w < 1 {
-			w = 1
-		}
-		if w*lw > max && lw != 1 {
-			t.Fatalf("LaunchWorkers(%d) = %d oversubscribes GOMAXPROCS %d", width, lw, max)
+	procs := runtime.GOMAXPROCS(0)
+	for _, width := range []int{0, 1, 2, 3, procs, procs + 1, 10 * procs} {
+		for _, n := range []int{1, 2, 5, procs, 3 * procs} {
+			sw := stageWorkers(width, n)
+			if sw < 1 || sw > n {
+				t.Fatalf("stageWorkers(%d, %d) = %d, want within [1, %d]", width, n, sw, n)
+			}
+			w := width
+			if w < 1 {
+				w = 1
+			}
+			if w*sw > procs && sw != 1 {
+				t.Fatalf("stageWorkers(%d, %d) = %d oversubscribes GOMAXPROCS %d", width, n, sw, procs)
+			}
 		}
 	}
 }
@@ -38,10 +42,7 @@ func TestStreamOrderedMerge(t *testing.T) {
 	const n = 500
 	var next int
 	var calls atomic.Int64
-	Stream(nil, n, func(i, launch int) int {
-		if launch < 1 {
-			t.Errorf("launch budget %d", launch)
-		}
+	Stream(nil, n, func(i int) int {
 		calls.Add(1)
 		return i * 3
 	}, func(i int, r int) {
@@ -66,7 +67,7 @@ func TestStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	var delivered []int
-	Stream(ctx, n, func(i, _ int) int {
+	Stream(ctx, n, func(i int) int {
 		if i == 10 {
 			once.Do(cancel)
 		}
@@ -89,7 +90,7 @@ func TestStreamCancellation(t *testing.T) {
 	done, doneCancel := context.WithCancel(context.Background())
 	doneCancel()
 	ran := false
-	Stream(done, n, func(i, _ int) int { ran = true; return i }, func(int, int) { ran = true })
+	Stream(done, n, func(i int) int { ran = true; return i }, func(int, int) { ran = true })
 	if ran {
 		t.Fatal("pre-cancelled stream still ran work")
 	}

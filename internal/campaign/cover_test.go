@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"runtime"
 	"testing"
 
 	"clfuzz/internal/cltypes"
@@ -120,5 +121,62 @@ func TestEngineWideCoverAccumulates(t *testing.T) {
 	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{Engine: exec.EngineVM})
 	if got := eng.Cover.Count(); got != afterMiss {
 		t.Fatalf("cache-hit replay changed the distinct-edge count: %d vs %d", got, afterMiss)
+	}
+}
+
+// failFirstGroupSrc fails in work-group 0 (an out-of-bounds store) while
+// groups 2 and 3 run loops and branches the VM records as edges.
+const failFirstGroupSrc = `
+kernel void k(global ulong *out) {
+    size_t g = get_group_id(0);
+    ulong v = 0;
+    if (g == 0) { out[1000000] = 1UL; }
+    if (g == 2) { for (int i = 0; i < 3; i++) { v = v * 7UL + (ulong)i; } }
+    if (g == 3) { for (int i = 0; i < 5; i++) { if (i > 2) { v = v + 1UL; } else { v = v * 3UL; } } }
+    out[get_linear_global_id()] = g + v;
+}
+`
+
+// TestFailingLaunchCoverageHostIndependent: a failing launch's coverage
+// does not depend on how many cores the host has. Work-groups run in
+// group order and the first failing group ends the launch, so a one-unit
+// matrix collects the same edges and site hits into the engine-wide map
+// at GOMAXPROCS 1 and 4. The VM is pinned (only it collects coverage).
+func TestFailingLaunchCoverageHostIndependent(t *testing.T) {
+	saved := device.DefaultEngine
+	device.DefaultEngine = exec.EngineVM
+	t.Cleanup(func() { device.DefaultEngine = saved })
+	nd := exec.NDRange{Global: [3]int{16, 1, 1}, Local: [3]int{4, 1, 1}}
+	run := func(procs int) *exec.CoverMap {
+		// Set GOMAXPROCS for this run and restore the previous value.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		eng := &Engine{Front: device.NewFrontCache(16), Cover: new(exec.CoverMap)}
+		rs := eng.RunMatrix(Matrix{
+			Name:    "fail-first-group",
+			Sources: []string{failFirstGroupSrc},
+			ND:      nd,
+			Buffers: func(int) (exec.Args, *exec.Buffer) {
+				out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
+				return exec.Args{"out": {Buf: out}}, out
+			},
+			Units: []Unit{{Src: 0, Cfg: device.Reference(), Opt: true}},
+		}, 1)
+		if rs[0].Outcome == device.OK {
+			t.Fatalf("GOMAXPROCS=%d: launch succeeded, want group 0 to fail", procs)
+		}
+		return eng.Cover
+	}
+	one, four := run(1), run(4)
+	e1, e4 := one.Edges(), four.Edges()
+	if len(e1) != len(e4) {
+		t.Fatalf("failing launch collected %d edges at GOMAXPROCS=1, %d at GOMAXPROCS=4", len(e1), len(e4))
+	}
+	for i := range e1 {
+		if e1[i] != e4[i] {
+			t.Fatalf("edge[%d] = %#x at GOMAXPROCS=1, %#x at GOMAXPROCS=4", i, e1[i], e4[i])
+		}
+	}
+	if one.SiteHits() != four.SiteHits() {
+		t.Fatalf("site hits %v at GOMAXPROCS=1, %v at GOMAXPROCS=4", one.SiteHits(), four.SiteHits())
 	}
 }

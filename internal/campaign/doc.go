@@ -2,9 +2,8 @@
 // on: a staged streaming pipeline that takes test cases from a source,
 // compiles them through the memoized front end, deduplicates the
 // per-configuration back-end launches by defect model, executes the
-// surviving representatives in parallel under a single worker-budget
-// planner, and hands results to the caller's classify/sink stage in
-// deterministic case order.
+// surviving representatives in parallel, and hands results to the
+// caller's classify/sink stage in deterministic case order.
 //
 // # Pipeline stages
 //
@@ -40,12 +39,14 @@
 // every argument buffer is flat (scalar elements), so the digest covers
 // the entire machine state a launch reads; everything else simply runs.
 //
-// # Worker budgeting
+// # Parallelism
 //
-// Plan is the single budget planner: case-level fan-out times per-launch
-// work-group fan-out never exceeds GOMAXPROCS. Saturated stages run
-// work-groups serially; narrow stages (a single differential test, a
-// small acceptance batch) hand the idle cores to the executor.
+// The campaign owns all of it. Stream fans cases out over GOMAXPROCS
+// workers, and RunMatrix fans one case's representatives out over the
+// cores its caller leaves idle (all of them for a single differential
+// test); case-level times representative-level fan-out never exceeds
+// GOMAXPROCS. Each launch itself runs on one goroutine at a time: the
+// executor runs work-groups in group order.
 //
 // Entry points: Stream for the pipeline, Engine.RunMatrix for one case's
 // unit matrix, Engine.RunCase for single launches (cldiff, clrun, the

@@ -6,31 +6,16 @@ import (
 	"sync"
 )
 
-// LaunchWorkers returns the per-launch work-group fan-out budget for a
-// pipeline stage that runs `width` launches concurrently: the machine's
-// parallelism left over once case-level fan-out has claimed its workers.
-// A saturated stage (width >= GOMAXPROCS) yields 1 — groups run serially
-// — while a narrow stage (a single differential test, a small acceptance
-// batch) hands the idle cores to the executor. Both levels multiply to
-// at most GOMAXPROCS, so campaign-level and group-level parallelism
-// never oversubscribe the machine.
-func LaunchWorkers(width int) int {
-	w := runtime.GOMAXPROCS(0)
+// stageWorkers returns the fan-out for a stage of n items nested under a
+// caller already running `width` stages concurrently: the machine's
+// parallelism left over once the caller has claimed its workers, clamped
+// to the item count (minimum 1). The two levels multiply to at most
+// GOMAXPROCS, so nested stages never oversubscribe the machine.
+func stageWorkers(width, n int) int {
 	if width < 1 {
 		width = 1
 	}
-	per := w / width
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// stageWorkers returns the fan-out for a stage of n items nested under a
-// caller already running `width` stages concurrently: the leftover
-// parallelism, clamped to the item count (minimum 1).
-func stageWorkers(width, n int) int {
-	per := LaunchWorkers(width)
+	per := runtime.GOMAXPROCS(0) / width
 	if per > n {
 		per = n
 	}
@@ -43,24 +28,18 @@ func stageWorkers(width, n int) int {
 // Stream is the campaign pipeline: it runs work(i) for i in 0..n-1
 // across a bounded worker pool and delivers every result to sink in
 // index order — the deterministic ordered merge that keeps streaming
-// campaign output byte-identical to a serial loop. work receives the
-// stage's per-launch work-group budget (LaunchWorkers of the actual
-// fan-out). sink runs on the calling goroutine; the queue between the
-// workers and the merge is bounded, so a slow sink backpressures the
-// workers instead of buffering the whole campaign.
+// campaign output byte-identical to a serial loop. The pool has
+// GOMAXPROCS workers (at most n). sink runs on the calling goroutine; the
+// queue between the workers and the merge is bounded, so a slow sink
+// backpressures the workers instead of buffering the whole campaign.
 //
 // Cancelling ctx stops the dispatch of new case indices; cases already
 // in flight run to completion and still reach the sink, so a cancelled
 // stream delivers a contiguous, exactly-once prefix of the case list —
 // the invariant the shard resume path depends on. A nil ctx streams to
 // completion.
-func Stream[R any](ctx context.Context, n int, work func(i, launch int) R, sink func(i int, r R)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	launch := LaunchWorkers(workers)
-	streamWith(ctx, workers, n, func(i int) R { return work(i, launch) }, sink)
+func Stream[R any](ctx context.Context, n int, work func(i int) R, sink func(i int, r R)) {
+	streamWith(ctx, stageWorkers(1, n), n, work, sink)
 }
 
 // streamWith is Stream with an explicit worker count (RunMatrix budgets

@@ -169,11 +169,7 @@ func (c *Chain) stepLocked(ctx context.Context, step int) StepRecord {
 	rec.SrcHash = Fingerprint(k.Src)
 
 	// Coverage launch: the reference configuration, optimizations on,
-	// collecting into a private per-step map. Workers is pinned to 1:
-	// outputs are schedule-independent, but a failing launch's coverage
-	// is not (the serial executor stops at the first failed group, the
-	// parallel one runs all groups), so the chain always takes the
-	// serial schedule.
+	// collecting into a private per-step map.
 	stepCov := new(exec.CoverMap)
 	cse := campaign.Case{
 		Name:    fmt.Sprintf("chain%d-step%d", c.cfg.Index, step),
@@ -181,7 +177,7 @@ func (c *Chain) stepLocked(ctx context.Context, step int) StepRecord {
 		ND:      k.ND,
 		Buffers: k.Buffers,
 	}
-	lo := campaign.LaunchOptions{BaseFuel: c.cfg.BaseFuel, Workers: 1, Ctx: ctx}
+	lo := campaign.LaunchOptions{BaseFuel: c.cfg.BaseFuel, Ctx: ctx}
 	refLo := lo
 	refLo.Cover = stepCov
 	ref := c.eng.RunCase(c.cfg.Ref, true, cse, refLo)

@@ -185,14 +185,6 @@ type RunOptions struct {
 	// campaigns, as on real devices; on for the reference configuration
 	// when hunting benchmark races).
 	CheckRaces bool
-	// Workers is the work-group fan-out budget handed to the executor:
-	// when greater than one, eligible launches (no atomic builtins, races
-	// unchecked) run independent work-groups concurrently on up to Workers
-	// goroutines, with buffer contents byte-identical to the serial
-	// schedule. Zero or one keeps the fully serial executor. Campaign
-	// runners pass their leftover parallelism here so case-level and
-	// group-level fan-out never oversubscribe the machine.
-	Workers int
 	// Engine forces the evaluation engine for this run; EngineAuto (the
 	// zero value) defers to DefaultEngine, under which kernels run on the
 	// register VM. Outputs are byte-identical either way.
@@ -247,12 +239,7 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		Ctx:        ro.Ctx,
 		// Barrier-free kernels (the common case for generated tests) take
 		// the executor's goroutine-free sequential fast path.
-		NoBarrier: !k.Info.HasBarrier,
-		// Atomic-free kernels may fan work-groups out across Workers
-		// goroutines: atomics are the only defined cross-group channel,
-		// so without them group results are order-independent.
-		NoAtomics:  !k.Info.HasAtomic,
-		Workers:    ro.Workers,
+		NoBarrier:  !k.Info.HasBarrier,
 		HasFwdDecl: k.Info.HasFwdDecl,
 		Cover:      ro.Cover,
 		Pool:       ro.Pool,

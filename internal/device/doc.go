@@ -46,12 +46,10 @@
 // the reference path the determinism tests compare against (the caches
 // must be byte-for-byte invisible). The result is a runnable Kernel
 // whose Run method applies the launch-time defect gates (driver crashes,
-// fuel scaling, residual wrong-code corruption) around exec.Run.
-// RunOptions.Workers forwards a work-group fan-out budget to the
-// executor; results are byte-identical at any budget. A third cache
-// level sits above this package: internal/campaign's ResultCache
-// memoizes finished launch results per (source hash, defect model,
-// argument digest), so exact repeats of a launch — across cases,
+// fuel scaling, residual wrong-code corruption) around exec.Run. A
+// third cache level sits above this package: internal/campaign's
+// ResultCache memoizes finished launch results per (source hash, defect
+// model, argument digest), so exact repeats of a launch — across cases,
 // campaigns, and the acceptance filters — skip execution entirely.
 //
 // # Immutable-kernel contract

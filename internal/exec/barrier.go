@@ -82,7 +82,7 @@ func (b *barrier) await(tok barrierToken, fence uint64, self int) error {
 			if rel != nil {
 				close(rel)
 			}
-			ls.yield(self, b.group.dom.abort)
+			ls.yield(self, b.group.m.dom.abort)
 		} else if rel != nil {
 			close(rel)
 		}
@@ -101,11 +101,11 @@ func (b *barrier) await(tok barrierToken, fence uint64, self int) error {
 	select {
 	case <-rel:
 		if ls := b.group.ls; ls != nil {
-			ls.waitTurn(self, b.group.dom.abort)
+			ls.waitTurn(self, b.group.m.dom.abort)
 		}
 		return nil
-	case <-b.group.dom.abort:
-		if err := b.group.dom.err; err != nil {
+	case <-b.group.m.dom.abort:
+		if err := b.group.m.dom.err; err != nil {
 			return err
 		}
 		return &CrashError{Msg: "aborted while waiting at barrier"}

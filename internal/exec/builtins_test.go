@@ -34,7 +34,6 @@ func runBuiltins(t *testing.T, src string, nd exec.NDRange) (out, ctr []uint64) 
 		cb := exec.NewBuffer(cltypes.TUInt, 4)
 		err := exec.Run(prog, nd, exec.Args{"out": {Buf: ob}, "ctr": {Buf: cb}}, exec.Options{
 			NoBarrier:  !info.HasBarrier,
-			NoAtomics:  !info.HasAtomic,
 			HasFwdDecl: info.HasFwdDecl,
 			Code:       codeFor(engine, lowered),
 		})

@@ -29,7 +29,6 @@ func compileTest(t *testing.T, src string) (args exec.Args, opts exec.Options, r
 	args = exec.Args{"out": {Buf: out}}
 	opts = exec.Options{
 		NoBarrier:  !info.HasBarrier,
-		NoAtomics:  !info.HasAtomic,
 		HasFwdDecl: info.HasFwdDecl,
 	}
 	return args, opts, func(opts exec.Options) error { return exec.Run(prog, nd, args, opts) }
@@ -86,20 +85,6 @@ func TestPanicContainedOnBarrierPath(t *testing.T) {
 	}
 }
 
-// TestPanicContainedOnParallelGroupPath: a panicking group on the
-// work-group fan-out pool must not lose the pool worker; every group
-// still gets a verdict and the launch reports the crash.
-func TestPanicContainedOnParallelGroupPath(t *testing.T) {
-	armPanicHook(t)
-	_, opts, runIt := compileTest(t, plainSrc)
-	opts.Workers = 2
-	err := runIt(opts)
-	var crash *exec.CrashError
-	if !errors.As(err, &crash) {
-		t.Fatalf("err = %v, want *CrashError", err)
-	}
-}
-
 // TestPanicContainmentCoexistsWithImmutableAssert: with the immutable-
 // program assertion armed, a contained evaluator panic still yields a
 // *CrashError — the assertion's own fingerprint check runs afterwards
@@ -143,10 +128,5 @@ func TestRunCanceledContext(t *testing.T) {
 	var ce *exec.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)
-	}
-	// The parallel pool path must also observe it.
-	opts.Workers = 2
-	if err := runIt(opts); !errors.As(err, &ce) {
-		t.Fatalf("parallel err = %v, want *CancelError", err)
 	}
 }

@@ -25,8 +25,8 @@ import (
 // generator emits all the time and novel bits come only from unusual
 // control-flow layouts. That is the feedback signal internal/corpus ranks
 // its corpus by. All updates are commutative (bitwise OR, counter adds),
-// so a map filled by parallel work-groups is byte-identical to the serial
-// schedule.
+// so a map filled by lockstep thread goroutines or by concurrent launches
+// does not depend on their order.
 
 // CoverBits is the size of the shared edge bitmap. Power of two so edge
 // hashes reduce by masking.

@@ -36,31 +36,21 @@
 //
 // Both engines share everything below expression evaluation: the cell
 // arena, flat buffer words, lvalues, barrier machinery, race checker,
-// the defect models, and the parallel work-group scheduler. EngineCounters
+// the defect models, and the work-group schedules. EngineCounters
 // reports which engine executed each launch process-wide.
 //
 // # Execution modes
 //
-// Run picks among three schedules, all producing byte-identical results
-// for race-free programs:
+// A launch runs its work-groups one after another in group order
+// (dimension 0 fastest), and the first failing group ends it. Each group
+// takes one of two schedules, both producing byte-identical results for
+// race-free programs:
 //
 //   - Sequential fast path: barrier-free kernels (Options.NoBarrier, the
 //     common case for generated tests) with race checking off run every
 //     thread of every work-group back-to-back on the calling goroutine —
 //     no goroutine spawns, no barrier objects, and plain (non-atomic)
 //     memory accesses.
-//   - Parallel work-groups: when Options.Workers exceeds one and the
-//     kernel calls no atomic builtins (Options.NoAtomics), independent
-//     work-groups fan out across a bounded worker pool. Atomics are the
-//     only defined cross-group communication channel in the subset, so
-//     group results cannot depend on scheduling; each group runs in its
-//     own failure domain, and the launch verdict is the error of the
-//     lowest-numbered failing group — exactly what the serial schedule
-//     would report. Within each group the per-group mode (sequential or
-//     barrier machinery) is unchanged. TestThreadedMatchesSwitch and the
-//     FuzzThreadedMatchesSwitch target pin the fan-out against the serial
-//     schedule: same verdict and, for completed launches, same buffers,
-//     fuel high-water mark and coverage.
 //   - Lockstep goroutine-per-thread: kernels that reach barriers (and
 //     any race-checked launch) run each work-group's threads on
 //     goroutines synchronized by a collective barrier object with
@@ -72,6 +62,14 @@
 //     identical on every run of the same launch. Determinism here is
 //     what the campaign result cache, the shard/merge pipeline and the
 //     differential oracle itself rest on.
+//
+// TestThreadedMatchesSwitch and the FuzzThreadedMatchesSwitch target pin
+// the two schedules against each other on barrier-free kernels (withheld
+// NoBarrier puts a launch on the lockstep path): same verdict and, for
+// completed launches, same buffers, fuel high-water mark and coverage.
+//
+// Parallelism lives above the executor: internal/campaign runs many
+// launches at once, so one launch never needs more than one core.
 //
 // # Storage
 //

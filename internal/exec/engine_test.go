@@ -12,8 +12,11 @@ import (
 )
 
 // launchEngine compiles src, lowers it, and executes it on the given
-// engine, returning the out-buffer contents and the run error.
-func launchEngine(t *testing.T, src string, nd exec.NDRange, workers int, engine exec.Engine, fuel int64) ([]uint64, error) {
+// engine, returning the out-buffer contents and the run error. lockstep
+// withholds the front end's NoBarrier guarantee, which puts work-groups
+// of more than one thread on the goroutine-per-thread schedule even when
+// the kernel is barrier-free.
+func launchEngine(t *testing.T, src string, nd exec.NDRange, engine exec.Engine, fuel int64, lockstep bool) ([]uint64, error) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -30,10 +33,8 @@ func launchEngine(t *testing.T, src string, nd exec.NDRange, workers int, engine
 	out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 	args := exec.Args{"out": {Buf: out}}
 	runErr := exec.Run(prog, nd, args, exec.Options{
-		NoBarrier:  !info.HasBarrier,
-		NoAtomics:  !info.HasAtomic,
+		NoBarrier:  !info.HasBarrier && !lockstep,
 		HasFwdDecl: info.HasFwdDecl,
-		Workers:    workers,
 		Fuel:       fuel,
 		Code:       codeFor(engine, lowered),
 	})
@@ -116,7 +117,7 @@ kernel void k(global ulong *out) {
 // TestVMMatchesTree pins the central engine invariant at the exec level:
 // the register VM and the tree walker produce byte-identical buffer
 // contents and identical errors on every kernel shape, including under
-// tight fuel (identical fuel accounting) and work-group fan-out.
+// tight fuel (identical fuel accounting).
 func TestVMMatchesTree(t *testing.T) {
 	exec.SetDebugImmutable(true)
 	t.Cleanup(func() { exec.SetDebugImmutable(false) })
@@ -128,8 +129,8 @@ func TestVMMatchesTree(t *testing.T) {
 	for _, k := range all {
 		for _, nd := range nds {
 			for _, fuel := range []int64{0, 700} {
-				want, wantErr := launchEngine(t, k.src, nd, 1, exec.EngineTree, fuel)
-				got, gotErr := launchEngine(t, k.src, nd, 1, exec.EngineVM, fuel)
+				want, wantErr := launchEngine(t, k.src, nd, exec.EngineTree, fuel, false)
+				got, gotErr := launchEngine(t, k.src, nd, exec.EngineVM, fuel, false)
 				label := fmt.Sprintf("%s nd=%v fuel=%d", k.name, nd.Global, fuel)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s: vm err %v, tree err %v", label, gotErr, wantErr)

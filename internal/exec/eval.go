@@ -13,11 +13,8 @@ import (
 type thread struct {
 	m     *Machine
 	group *groupCtx
-	// dom is the failure domain the thread aborts with: the group's domain
-	// (the launch-level domain when groups run serially).
-	dom *failDomain
-	gid [3]int
-	lid [3]int
+	gid   [3]int
+	lid   [3]int
 
 	fuel        int64
 	env         *env
@@ -45,8 +42,8 @@ type thread struct {
 	cells arena[Cell]
 
 	// vm holds the register VM's stacks when the launch runs lowered
-	// bytecode; the sequential per-group path shares one vmState across
-	// the group's threads. vmInstrs counts dispatched instructions,
+	// bytecode; the sequential path shares one vmState across the
+	// launch's threads. vmInstrs counts dispatched instructions,
 	// folded into the process-wide counter when the thread finishes.
 	vm       *vmState
 	vmInstrs int64
@@ -172,8 +169,8 @@ func (t *thread) step() error {
 	if t.fuel <= 0 {
 		return &TimeoutError{Where: "kernel execution"}
 	}
-	if t.fuel&255 == 0 && t.dom.dead.Load() {
-		if err := t.dom.err; err != nil {
+	if t.fuel&255 == 0 && t.m.dom.dead.Load() {
+		if err := t.m.dom.err; err != nil {
 			return err
 		}
 		return errAborted

@@ -31,7 +31,6 @@ kernel void k(global ulong *out) {
 	out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 	err = exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
 		NoBarrier: !info.HasBarrier,
-		NoAtomics: !info.HasAtomic,
 	})
 	fmt.Println(err, out.Scalars())
 	// Output: <nil> [10 20 30 40]

@@ -12,9 +12,8 @@ import "sync"
 // so atomic operations, shared-memory effects, race reports and
 // divergence verdicts are identical on every run of the same launch —
 // the property the campaign result cache, the shard/merge pipeline and
-// the differential oracle all rest on. Work-group *fan-out* parallelism
-// (Options.Workers) is untouched: it schedules whole groups, each with
-// its own lockstep.
+// the differential oracle all rest on. Work-groups themselves run one
+// after another, in group order, each with a freshly reset lockstep.
 type lockstep struct {
 	mu    sync.Mutex
 	state []lsState

@@ -33,7 +33,7 @@ kernel void entry(global ulong *out) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, info, err := sema.Check(prog, 0)
+	prog, _, err = sema.Check(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,6 @@ kernel void entry(global ulong *out) {
 		out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 		return exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
 			CheckRaces: true,
-			NoAtomics:  !info.HasAtomic,
 			Fuel:       2000,
 		})
 	}

@@ -79,20 +79,6 @@ type Options struct {
 	// work-group's threads run back-to-back on the calling goroutine with
 	// no goroutine spawns, no barrier object, and no atomic cell accesses.
 	NoBarrier bool
-	// NoAtomics is the front end's static guarantee that the program calls
-	// no atomic builtins (sema.Info.HasAtomic == false). Atomics are the
-	// only defined cross-work-group communication channel in the subset,
-	// so together with Workers > 1 this guarantee enables the parallel
-	// work-group path: group results cannot depend on group ordering, and
-	// the launch output is byte-identical to the sequential schedule.
-	NoAtomics bool
-	// Workers is the work-group fan-out budget: when greater than one (and
-	// the launch is eligible — NoAtomics, races unchecked, more than one
-	// group), independent work-groups execute concurrently on up to
-	// Workers goroutines, each keeping its per-group execution mode
-	// (sequential fast path or the barrier machinery). Zero or one runs
-	// every group serially on the calling goroutine, as before.
-	Workers int
 	// HasFwdDecl is the front-end's report of a forward-declared function
 	// with a later definition, a trigger for the Figure 2(c) defects.
 	HasFwdDecl bool
@@ -238,13 +224,9 @@ func samePtrTarget(a, b Ptr) bool {
 	return a.Target() == b.Target()
 }
 
-// failDomain is one abort scope: the threads that share a domain stop as
-// soon as any of them fails, and the first recorded error is the domain's
-// verdict. A serial launch has a single domain spanning every group (a
-// failure stops the whole launch, exactly as before); the parallel
-// work-group path gives each group its own domain so that one group's
-// failure cannot nondeterministically poison a concurrently running
-// sibling — the launch verdict is then chosen in group order.
+// failDomain is a launch's abort scope: every thread stops as soon as
+// any of them fails, and the first recorded error is the launch verdict.
+// Groups run in group order, so a failure also stops the groups after it.
 type failDomain struct {
 	dead     atomic.Bool
 	failOnce sync.Once
@@ -282,27 +264,16 @@ type Machine struct {
 	// in prog.Globals declaration order for pre-resolved global operands.
 	code        *code.Program
 	globalCells []*Cell
-	// vmSerial is the register state shared by every sequential group of
-	// a serial launch (all groups run on the calling goroutine), so the
-	// VM stacks amortize across the whole launch.
-	vmSerial *vmState
 
-	// sequential marks the per-group goroutine-free fast path: barrier-free
-	// kernels (or single-thread work-groups) with race checking off run
-	// every thread of a work-group back-to-back on one goroutine.
-	sequential bool
-	// parallelGroups marks the work-group fan-out path: independent groups
-	// execute concurrently across a bounded worker pool (Options.Workers),
-	// each in its own failure domain.
-	parallelGroups bool
-	// unshared is the memory-model flag: when the whole launch executes on
-	// one goroutine (sequential per-group execution and no group fan-out),
+	// unshared marks the sequential fast path: barrier-free kernels (or
+	// single-thread work-groups) with race checking off run every thread
+	// of every work-group back-to-back on the calling goroutine. It is
+	// also the memory-model flag: with the whole launch on one goroutine,
 	// loads and stores of shared cells and flat buffer words skip the
-	// atomic operations that concurrent execution requires.
+	// atomic operations that goroutine-per-thread execution requires.
 	unshared bool
 
-	// dom is the launch-level failure domain used by the serial path (and
-	// by host-side global initialization). Parallel groups get their own.
+	// dom is the launch's failure domain.
 	dom *failDomain
 
 	raceMu     sync.Mutex
@@ -352,20 +323,6 @@ func SetFaultHook(fn func()) {
 	faultHook.Store(&fn)
 }
 
-// containPanic is the launch-boundary panic barrier: an evaluator panic
-// — an engine bug, a hostile defect hook, an out-of-range slab index —
-// is converted into a *CrashError verdict for the failure domain instead
-// of unwinding through the campaign worker and killing the whole
-// process. It mirrors the paper's treatment of compiler/driver crashes
-// as a first-class per-case outcome. Deliberate infrastructure panics
-// (the immutable-program assertion) are raised outside this barrier and
-// still propagate.
-func containPanic(dom *failDomain) {
-	if r := recover(); r != nil {
-		dom.fail(&CrashError{Msg: fmt.Sprintf("evaluator panic: %v", r)})
-	}
-}
-
 // ctxErr reports the cooperative-cancellation verdict for the launch
 // context, or nil. Checked only at work-group boundaries.
 func (m *Machine) ctxErr() error {
@@ -399,9 +356,9 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 		}()
 	}
 	// Containment for panics on the calling goroutine (host-side global
-	// initialization, the serial and sequential execution paths).
-	// Installed after the immutability defer so the assertion still
-	// panics outward; launch goroutines carry their own containPanic.
+	// initialization and the sequential path). Installed after the
+	// immutability defer so the assertion still panics outward; lockstep
+	// thread goroutines carry their own recover.
 	// The same defer returns the pooled state on a normal exit; a panic
 	// may leave the state half-unwound, so it is dropped instead.
 	var (
@@ -427,22 +384,13 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	if opts.Fuel <= 0 {
 		opts.Fuel = 1 << 22
 	}
-	numGroups := nd.GlobalLinear() / nd.GroupLinear()
-	workers := opts.Workers
-	if workers > numGroups {
-		workers = numGroups
-	}
 	sequential := !opts.CheckRaces && (opts.NoBarrier || nd.GroupLinear() == 1)
-	parallelGroups := workers > 1 && !opts.CheckRaces && opts.NoAtomics
 	pool = opts.Pool
 	if pool == nil {
 		pool = sharedPool
 	}
 	key := poolSerial
-	switch {
-	case parallelGroups:
-		key = poolParallel
-	case !sequential:
+	if !sequential {
 		key = poolLockstep
 	}
 	state = pool.get(key)
@@ -453,13 +401,10 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	m.nd = nd
 	m.args = args
 	m.opts = opts
-	m.sequential = sequential
-	m.parallelGroups = parallelGroups
-	m.unshared = sequential && !parallelGroups
+	m.unshared = sequential
 	m.dom = state.freshDom()
 	if opts.Code != nil {
 		m.code = opts.Code
-		m.vmSerial = &state.serialVM
 		vmLaunches.Add(1)
 	} else {
 		treeLaunches.Add(1)
@@ -498,10 +443,8 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 			return fmt.Errorf("exec: missing kernel argument %q", p.Name)
 		}
 	}
-	if m.parallelGroups {
-		return m.runGroupsParallel(numGroups, workers)
-	}
-	gs := state.group(0)
+	// Work-groups run in group order (dimension 0 fastest), and the
+	// first failing group ends the launch.
 	ng := m.nd.NumGroups()
 	for gz := 0; gz < ng[2]; gz++ {
 		for gy := 0; gy < ng[1]; gy++ {
@@ -509,7 +452,7 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 				if cerr := m.ctxErr(); cerr != nil {
 					return cerr
 				}
-				m.runGroup(gs, [3]int{gx, gy, gz}, m.dom)
+				m.runGroup(&state.group, [3]int{gx, gy, gz})
 				if m.dom.dead.Load() {
 					return m.dom.err
 				}
@@ -517,64 +460,6 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 		}
 	}
 	return m.dom.err
-}
-
-// groupAt maps a linear group index to the group id, in the serial
-// iteration order (dimension 0 fastest).
-func (n NDRange) groupAt(i int) [3]int {
-	ng := n.NumGroups()
-	return [3]int{i % ng[0], (i / ng[0]) % ng[1], i / (ng[0] * ng[1])}
-}
-
-// runGroupsParallel fans independent work-groups out across a bounded
-// worker pool. Eligibility (no atomic builtins, races unchecked) makes
-// group results independent of scheduling, so buffer contents are
-// byte-identical to the serial order. Each group runs in its own failure
-// domain and always to completion — no cross-group abort — and the launch
-// verdict is the error of the lowest-numbered failing group, exactly the
-// error the serial schedule would have returned.
-func (m *Machine) runGroupsParallel(numGroups, workers int) error {
-	st := m.state
-	for len(st.errs) < numGroups {
-		st.errs = append(st.errs, nil)
-	}
-	errs := st.errs[:numGroups]
-	clear(errs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		gs := st.group(w)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= numGroups {
-					return
-				}
-				dom := gs.freshDom()
-				if cerr := m.ctxErr(); cerr != nil {
-					dom.fail(cerr)
-				} else {
-					// Contain a panicking group without losing the pool
-					// worker: the group's domain records the crash and the
-					// remaining groups still execute.
-					func() {
-						defer containPanic(dom)
-						m.runGroup(gs, m.nd.groupAt(i), dom)
-					}()
-				}
-				errs[i] = dom.err
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (m *Machine) hashGate(salt, divisor uint64) bool {
@@ -585,7 +470,6 @@ func (m *Machine) hashGate(salt, divisor uint64) bool {
 type groupCtx struct {
 	m   *Machine
 	id  [3]int
-	dom *failDomain
 	bar *barrier
 	// ls serializes the group's thread goroutines into one deterministic
 	// interleaving (nil on the sequential fast path, which needs none).
@@ -595,10 +479,11 @@ type groupCtx struct {
 	races map[memKey]*accessRec  // intra-group access record, cleared at barriers
 }
 
-func (m *Machine) runGroup(gs *groupState, gid [3]int, dom *failDomain) {
-	g := gs.resetGroup(m, gid, dom)
+func (m *Machine) runGroup(gs *groupState, gid [3]int) {
+	g := gs.resetGroup(m, gid)
+	dom := m.dom
 	n := m.nd.GroupLinear()
-	if m.sequential {
+	if m.unshared {
 		m.runGroupSequential(gs, n)
 		return
 	}
@@ -707,17 +592,12 @@ func (m *Machine) runGroupSequential(gs *groupState, n int) {
 		gs.bar.reset(n, g)
 		g.bar = &gs.bar
 	}
-	// One VM register state serves every thread of the group: they run
+	// One VM register state serves every thread of the launch: they run
 	// back-to-back on this goroutine, so the stacks amortize across
-	// work-items instead of being reallocated per thread. A fully serial
-	// launch goes further and shares one state across all its groups.
+	// work-items and groups instead of being reallocated per thread.
 	var sharedVM *vmState
 	if m.code != nil {
-		if m.parallelGroups {
-			sharedVM = &gs.vm
-		} else {
-			sharedVM = m.vmSerial
-		}
+		sharedVM = &m.state.serialVM
 	}
 	// One pooled thread serves every work-item of the group, reset (and
 	// its arenas re-zeroed) between items, so the per-item state costs a
@@ -732,19 +612,12 @@ func (m *Machine) runGroupSequential(gs *groupState, n int) {
 				th.vm = sharedVM
 				err := th.run()
 				if st := m.opts.Stats; st != nil {
-					used := m.opts.Fuel - th.fuel
-					if m.unshared {
-						if used > st.MaxThreadSteps {
-							st.MaxThreadSteps = used
-						}
-					} else {
-						// Parallel groups share the Stats across
-						// goroutines even when each group is sequential.
-						st.noteThreadSteps(used)
+					if used := m.opts.Fuel - th.fuel; used > st.MaxThreadSteps {
+						st.MaxThreadSteps = used
 					}
 				}
 				if err != nil {
-					g.dom.fail(err)
+					m.dom.fail(err)
 					return
 				}
 			}

@@ -14,38 +14,16 @@ import (
 	"clfuzz/internal/sema"
 )
 
-// launch compiles and executes src over nd with a ulong out buffer, using
-// the front-end guarantees (NoBarrier/NoAtomics) the device layer would
-// pass, and returns the buffer contents and the run error. The program is
-// lowered and executed on the given engine, so the parallel-determinism
-// suite pins the tree walker and the register VM alike.
-func launch(t *testing.T, src string, nd exec.NDRange, workers int, engine exec.Engine) ([]uint64, error) {
-	t.Helper()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	prog, info, err := sema.Check(prog, 0)
-	if err != nil {
-		t.Fatalf("sema: %v", err)
-	}
-	lowered, err := code.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
-	args := exec.Args{"out": {Buf: out}}
-	runErr := exec.Run(prog, nd, args, exec.Options{
-		NoBarrier:  !info.HasBarrier,
-		NoAtomics:  !info.HasAtomic,
-		HasFwdDecl: info.HasFwdDecl,
-		Workers:    workers,
-		Code:       codeFor(engine, lowered),
-	})
-	return out.Scalars(), runErr
-}
+// schedules are the executor's two work-group schedules. A launch takes
+// the lockstep goroutine-per-thread schedule when it is run without the
+// NoBarrier guarantee (on groups of more than one thread) even if the
+// kernel is barrier-free, and the sequential fast path otherwise.
+var schedules = []struct {
+	name     string
+	lockstep bool
+}{{"sequential", false}, {"lockstep", true}}
 
-// parallelKernels is the kernel set the work-group fan-out is compared on:
+// parallelKernels is the kernel set the two schedules are compared on:
 // barrier-free compute, barrier synchronization over local memory, private
 // aggregates, and flat-buffer pointer arithmetic.
 var parallelKernels = []struct {
@@ -98,14 +76,14 @@ kernel void k(global ulong *out) {
 `},
 }
 
-// TestParallelGroupsDeterministic is the fan-out half of the executor's
-// central invariant: an eligible launch (no atomics, races unchecked) must
-// produce byte-identical buffer contents whether work-groups run serially
-// or concurrently across any worker count. Run with -race this also
-// verifies the shared-cell atomic discipline of the parallel path.
+// TestParallelGroupsDeterministic is the schedule half of the executor's
+// central invariant: a race-free launch must produce byte-identical
+// buffer contents on the sequential fast path and on the lockstep
+// goroutine-per-thread schedule, on either engine. Run with -race this
+// also verifies the shared-cell atomic discipline of the lockstep path.
 func TestParallelGroupsDeterministic(t *testing.T) {
 	// Verify the read-only-AST contract on every launch of this test: the
-	// same checked program is run at several worker budgets, exactly the
+	// same checked program is run on both schedules and engines, the
 	// sharing pattern the back cache produces at campaign scale.
 	exec.SetDebugImmutable(true)
 	t.Cleanup(func() { exec.SetDebugImmutable(false) })
@@ -115,18 +93,18 @@ func TestParallelGroupsDeterministic(t *testing.T) {
 	}
 	for _, k := range parallelKernels {
 		for _, nd := range nds {
-			// The serial tree walk is the reference; every engine and
-			// worker-budget combination must reproduce it byte for byte.
-			want, wantErr := launch(t, k.src, nd, 1, exec.EngineTree)
+			// The sequential tree walk is the reference; every engine and
+			// schedule combination must reproduce it byte for byte.
+			want, wantErr := launchEngine(t, k.src, nd, exec.EngineTree, 0, false)
 			for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
-				for _, workers := range []int{1, 2, 8} {
-					got, gotErr := launch(t, k.src, nd, workers, engine)
+				for _, sc := range schedules {
+					got, gotErr := launchEngine(t, k.src, nd, engine, 0, sc.lockstep)
 					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%s engine=%s workers=%d: err %v, want %v", k.name, engine, workers, gotErr, wantErr)
+						t.Fatalf("%s engine=%s %s: err %v, want %v", k.name, engine, sc.name, gotErr, wantErr)
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Fatalf("%s engine=%s workers=%d: out[%d] = %d, want %d", k.name, engine, workers, i, got[i], want[i])
+							t.Fatalf("%s engine=%s %s: out[%d] = %d, want %d", k.name, engine, sc.name, i, got[i], want[i])
 						}
 					}
 				}
@@ -136,9 +114,9 @@ func TestParallelGroupsDeterministic(t *testing.T) {
 }
 
 // TestParallelGroupsErrorOrder checks the launch verdict under failures:
-// the parallel path must report the error of the lowest-numbered failing
-// group — the one the serial schedule would have hit first — even when a
-// later group fails differently (here group 1 times out while group 3
+// work-groups run in group order, so the launch reports the error of the
+// lowest-numbered failing group on either schedule and engine, even when
+// a later group fails differently (here group 1 times out while group 3
 // crashes on an out-of-bounds store).
 func TestParallelGroupsErrorOrder(t *testing.T) {
 	src := `
@@ -168,38 +146,37 @@ kernel void k(global ulong *out) {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	runWith := func(workers int, engine exec.Engine) error {
+	runWith := func(lockstep bool, engine exec.Engine) error {
 		out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 		return exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
-			NoBarrier: !info.HasBarrier,
-			NoAtomics: !info.HasAtomic,
+			NoBarrier: !info.HasBarrier && !lockstep,
 			Fuel:      50_000,
-			Workers:   workers,
 			Code:      codeFor(engine, lowered),
 		})
 	}
-	serial := runWith(1, exec.EngineTree)
-	if _, ok := serial.(*exec.TimeoutError); !ok {
-		t.Fatalf("serial error = %v (%T), want timeout from group 1", serial, serial)
+	want := runWith(false, exec.EngineTree)
+	if _, ok := want.(*exec.TimeoutError); !ok {
+		t.Fatalf("sequential error = %v (%T), want timeout from group 1", want, want)
 	}
 	for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
-		for _, workers := range []int{1, 2, 8} {
-			parallel := runWith(workers, engine)
-			if _, ok := parallel.(*exec.TimeoutError); !ok {
-				t.Fatalf("engine=%s workers=%d error = %v (%T), want timeout from group 1", engine, workers, parallel, parallel)
+		for _, sc := range schedules {
+			got := runWith(sc.lockstep, engine)
+			if _, ok := got.(*exec.TimeoutError); !ok {
+				t.Fatalf("engine=%s %s error = %v (%T), want timeout from group 1", engine, sc.name, got, got)
 			}
-			if parallel.Error() != serial.Error() {
-				t.Fatalf("engine=%s workers=%d error %q, want %q", engine, workers, parallel.Error(), serial.Error())
+			if got.Error() != want.Error() {
+				t.Fatalf("engine=%s %s error %q, want %q", engine, sc.name, got.Error(), want.Error())
 			}
 		}
 	}
 }
 
-// TestAtomicsStaySerial pins the eligibility rule: a kernel using atomic
-// builtins — the one defined cross-group communication channel — must not
-// fan out, because atomic ordering across groups is schedule-dependent.
-// The observable contract is that results with any worker budget equal the
-// serial schedule's.
+// TestAtomicsStaySerial pins group order as the executor's contract for
+// atomics, the one defined cross-group communication channel: on 32
+// one-thread groups every atomic_inc ticket equals its group's index, on
+// both schedules and engines. (A one-thread group takes the sequential
+// path even without NoBarrier, so the race checker is what puts it on
+// the lockstep schedule here.)
 func TestAtomicsStaySerial(t *testing.T) {
 	src := `
 kernel void k(global ulong *out, global uint *ctr) {
@@ -215,29 +192,36 @@ kernel void k(global ulong *out, global uint *ctr) {
 	if err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	if !info.HasAtomic {
-		t.Fatal("sema did not flag the atomic builtin")
+	lowered, err := code.Lower(prog)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
 	}
 	nd := exec.NDRange{Global: [3]int{32, 1, 1}, Local: [3]int{1, 1, 1}}
-	runWith := func(workers int) []uint64 {
-		out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
-		ctr := exec.NewBuffer(cltypes.TUInt, 1)
-		err := exec.Run(prog, nd, exec.Args{"out": {Buf: out}, "ctr": {Buf: ctr}}, exec.Options{
-			NoBarrier: !info.HasBarrier,
-			NoAtomics: !info.HasAtomic,
-			Workers:   workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	// One pool for every launch: the two schedules keep differently
+	// shaped states, so the pool's misses show both were taken.
+	pool := exec.NewLaunchPool()
+	for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
+		for _, sc := range schedules {
+			out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
+			ctr := exec.NewBuffer(cltypes.TUInt, 1)
+			err := exec.Run(prog, nd, exec.Args{"out": {Buf: out}, "ctr": {Buf: ctr}}, exec.Options{
+				NoBarrier:  !info.HasBarrier,
+				CheckRaces: sc.lockstep,
+				Code:       codeFor(engine, lowered),
+				Pool:       pool,
+			})
+			if err != nil {
+				t.Fatalf("engine=%s %s: %v", engine, sc.name, err)
+			}
+			for g, ticket := range out.Scalars() {
+				if ticket != uint64(g) {
+					t.Fatalf("engine=%s %s: group %d drew ticket %d, want its group index", engine, sc.name, g, ticket)
+				}
+			}
 		}
-		return out.Scalars()
 	}
-	want := runWith(1)
-	got := runWith(8)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("atomic kernel diverged under a worker budget: out[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if _, misses := pool.Counters(); misses != 2 {
+		t.Fatalf("pool built %d launch states, want 2 (one per schedule)", misses)
 	}
 }
 
@@ -288,35 +272,41 @@ type threadedRun struct {
 	sites [exec.CoverNumSites]uint64
 }
 
-// launchObserved executes an already-lowered program on the VM with the
-// given work-group fan-out budget and every observation hook armed.
-func launchObserved(prog *ast.Program, info *sema.Info, cp *code.Program, nd exec.NDRange, fuel int64, workers int) threadedRun {
-	out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
+// launchObserved executes a checked program with every observation hook
+// armed, on the lockstep schedule or the sequential path (see
+// schedules). buffers builds the launch's arguments and names the result
+// buffer; opts carries the rest of the launch (fuel, code, defects).
+func launchObserved(prog *ast.Program, info *sema.Info, nd exec.NDRange, buffers func() (exec.Args, *exec.Buffer), opts exec.Options, lockstep bool) threadedRun {
+	args, result := buffers()
 	var st exec.Stats
 	cov := &exec.CoverMap{}
-	runErr := exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
-		NoBarrier:  !info.HasBarrier,
-		NoAtomics:  !info.HasAtomic,
-		HasFwdDecl: info.HasFwdDecl,
-		Workers:    workers,
-		Fuel:       fuel,
-		Code:       cp,
-		Stats:      &st,
-		Cover:      cov,
-	})
-	return threadedRun{out: out.Scalars(), err: runErr, steps: st.MaxThreadSteps, edges: cov.Edges(), sites: cov.SiteHits()}
+	opts.NoBarrier = !info.HasBarrier && !lockstep
+	opts.HasFwdDecl = info.HasFwdDecl
+	opts.Stats = &st
+	opts.Cover = cov
+	runErr := exec.Run(prog, nd, args, opts)
+	return threadedRun{out: result.Scalars(), err: runErr, steps: st.MaxThreadSteps, edges: cov.Edges(), sites: cov.SiteHits()}
 }
 
-// TestThreadedMatchesSwitch pins the fan-out contract on every
-// observation, not just buffer contents: on every kernel shape, NDRange
-// and fuel budget, a launch whose work-groups run concurrently on worker
-// goroutines (threaded) reports exactly what the serial schedule — every
-// group through the switch loop on the calling goroutine — reports:
-// the same error (including the fuel-exhaustion verdict) and, when the
-// launch completes, identical buffer contents, Stats fuel high-water
-// mark, coverage edge set and defect-site hit counts. A failing launch
-// is compared on its verdict alone: the fan-out may run later groups
-// further before the lowest failing group's error is reported.
+// outBuffer returns an argument factory for the test kernels' single
+// ulong out buffer.
+func outBuffer(nd exec.NDRange) func() (exec.Args, *exec.Buffer) {
+	return func() (exec.Args, *exec.Buffer) {
+		out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
+		return exec.Args{"out": {Buf: out}}, out
+	}
+}
+
+// TestThreadedMatchesSwitch pins the two schedules against each other on
+// every observation, not just buffer contents: on every kernel shape,
+// NDRange and fuel budget, a VM launch whose threads run on lockstep
+// goroutines (threaded) reports exactly what the sequential path — every
+// thread through the switch loop on the calling goroutine — reports: the
+// same error (including the fuel-exhaustion verdict) and, when the launch
+// completes, identical buffer contents, Stats fuel high-water mark,
+// coverage edge set and defect-site hit counts. A failing launch is
+// compared on its verdict alone: after an abort, the lockstep thread
+// holding the baton runs on to its next abort poll.
 func TestThreadedMatchesSwitch(t *testing.T) {
 	exec.SetDebugImmutable(true)
 	t.Cleanup(func() { exec.SetDebugImmutable(false) })
@@ -340,12 +330,11 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 		}
 		for _, nd := range nds {
 			for _, fuel := range []int64{0, 700} {
-				want := launchObserved(prog, info, lowered, nd, fuel, 1)
-				for _, workers := range []int{2, 8} {
-					got := launchObserved(prog, info, lowered, nd, fuel, workers)
-					label := fmt.Sprintf("%s nd=%v budget=%d workers=%d", k.name, nd.Global, fuel, workers)
-					requireSameRun(t, label, got, want)
-				}
+				opts := exec.Options{Fuel: fuel, Code: lowered}
+				want := launchObserved(prog, info, nd, outBuffer(nd), opts, false)
+				got := launchObserved(prog, info, nd, outBuffer(nd), opts, true)
+				label := fmt.Sprintf("%s nd=%v budget=%d", k.name, nd.Global, fuel)
+				requireSameRun(t, label, got, want)
 			}
 		}
 	}
@@ -354,11 +343,11 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 	t.Helper()
 	if (got.err == nil) != (want.err == nil) {
-		t.Fatalf("%s: threaded err %v, serial err %v", label, got.err, want.err)
+		t.Fatalf("%s: threaded err %v, sequential err %v", label, got.err, want.err)
 	}
 	if want.err != nil {
 		if got.err.Error() != want.err.Error() {
-			t.Fatalf("%s: threaded err %q, serial err %q", label, got.err, want.err)
+			t.Fatalf("%s: threaded err %q, sequential err %q", label, got.err, want.err)
 		}
 		return
 	}
@@ -368,10 +357,10 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 		}
 	}
 	if got.steps != want.steps {
-		t.Fatalf("%s: threaded charged %d steps, serial charged %d", label, got.steps, want.steps)
+		t.Fatalf("%s: threaded charged %d steps, sequential charged %d", label, got.steps, want.steps)
 	}
 	if len(got.edges) != len(want.edges) {
-		t.Fatalf("%s: threaded hit %d edges, serial hit %d", label, len(got.edges), len(want.edges))
+		t.Fatalf("%s: threaded hit %d edges, sequential hit %d", label, len(got.edges), len(want.edges))
 	}
 	for i := range want.edges {
 		if got.edges[i] != want.edges[i] {
@@ -379,31 +368,32 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 		}
 	}
 	if got.sites != want.sites {
-		t.Fatalf("%s: threaded site hits %v, serial %v", label, got.sites, want.sites)
+		t.Fatalf("%s: threaded site hits %v, sequential %v", label, got.sites, want.sites)
 	}
 }
 
-// FuzzThreadedMatchesSwitch is the fan-out equivalence fuzz target:
-// generate a random kernel, compile it on a random configuration
-// (arming that configuration's defect models and optimization
-// pipeline), and run it on the VM twice — serially, every work-group
-// through the switch loop on the calling goroutine, and threaded, with
-// the groups fanned out over a random worker budget. There is no
-// sanctioned divergence: outcome (including Timeout), diagnostic, buffer
-// contents and, for completed launches, the coverage edge set must agree
-// byte for byte. Kernels are generated up to 64 threads so NDRanges span
-// several work-groups, the shape the fan-out actually parallelizes.
+// FuzzThreadedMatchesSwitch is the schedule equivalence fuzz target:
+// generate a random kernel, compile it on a random configuration (arming
+// that configuration's compile-time defects and optimization pipeline),
+// and run the compiled program on the VM twice with the configuration's
+// executor defects and fuel — on the sequential path, every thread
+// through the switch loop on the calling goroutine, and threaded, on the
+// lockstep goroutine-per-thread schedule. The comparison is
+// TestThreadedMatchesSwitch's: the same verdict (including Timeout) and,
+// for completed launches, the same buffers, fuel high-water mark,
+// coverage edge set and defect-site hits. Kernels are generated up to 64
+// threads so NDRanges span several multi-thread work-groups.
 func FuzzThreadedMatchesSwitch(f *testing.F) {
-	f.Add(uint8(0), uint32(42), uint8(0), false, uint8(0))
-	f.Add(uint8(1), uint32(7), uint8(3), true, uint8(1))
-	f.Add(uint8(2), uint32(11), uint8(12), true, uint8(0))
-	f.Add(uint8(3), uint32(5), uint8(17), false, uint8(1))
-	f.Add(uint8(3), uint32(1000), uint8(7), true, uint8(6))
+	f.Add(uint8(0), uint32(42), uint8(0), false)
+	f.Add(uint8(1), uint32(7), uint8(3), true)
+	f.Add(uint8(2), uint32(11), uint8(12), true)
+	f.Add(uint8(3), uint32(5), uint8(17), false)
+	f.Add(uint8(3), uint32(1000), uint8(7), true)
 	modes := []generator.Mode{
 		generator.ModeBasic, generator.ModeVector, generator.ModeBarrier, generator.ModeAll,
 	}
 	cfgs := device.All()
-	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool, workerSel uint8) {
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool) {
 		k := generator.Generate(generator.Options{
 			Mode:            modes[int(mode)%len(modes)],
 			Seed:            int64(seed),
@@ -417,40 +407,16 @@ func FuzzThreadedMatchesSwitch(f *testing.F) {
 		if cr.Kernel.Code == nil {
 			t.Fatalf("kernel did not lower (mode %d seed %d)", mode, seed)
 		}
-		run := func(workers int) (device.RunResult, []uint32) {
-			args, result := k.Buffers()
-			cov := &exec.CoverMap{}
-			rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{
-				Engine: exec.EngineVM, Workers: workers, Cover: cov,
-			})
-			return rr, cov.Edges()
+		lvl := cfg.Level(optimize)
+		fuel := float64(device.DefaultFuel)
+		if lvl.FuelFactor > 0 {
+			fuel *= lvl.FuelFactor
 		}
-		want, wantEdges := run(1)
-		got, gotEdges := run(2 + int(workerSel%7))
-		if got.Outcome != want.Outcome {
-			t.Fatalf("outcome: threaded %v, serial %v (msg %q vs %q)\n%s", got.Outcome, want.Outcome, got.Msg, want.Msg, k.Src)
-		}
-		if got.Msg != want.Msg {
-			t.Fatalf("msg: threaded %q, serial %q\n%s", got.Msg, want.Msg, k.Src)
-		}
-		if len(got.Output) != len(want.Output) {
-			t.Fatalf("output length: threaded %d, serial %d\n%s", len(got.Output), len(want.Output), k.Src)
-		}
-		for i := range want.Output {
-			if got.Output[i] != want.Output[i] {
-				t.Fatalf("out[%d]: threaded %#x, serial %#x\n%s", i, got.Output[i], want.Output[i], k.Src)
-			}
-		}
-		if want.Outcome != device.OK {
-			return
-		}
-		if len(gotEdges) != len(wantEdges) {
-			t.Fatalf("coverage: threaded hit %d edges, serial %d\n%s", len(gotEdges), len(wantEdges), k.Src)
-		}
-		for i := range wantEdges {
-			if gotEdges[i] != wantEdges[i] {
-				t.Fatalf("edge[%d]: threaded %#x, serial %#x\n%s", i, gotEdges[i], wantEdges[i], k.Src)
-			}
-		}
+		opts := exec.Options{Defects: lvl.Defects, Hash: cr.Kernel.Hash, Fuel: int64(fuel), Code: cr.Kernel.Code}
+		kn := cr.Kernel
+		want := launchObserved(kn.Prog, kn.Info, k.ND, k.Buffers, opts, false)
+		got := launchObserved(kn.Prog, kn.Info, k.ND, k.Buffers, opts, true)
+		label := fmt.Sprintf("mode %d seed %d config %d optimize %v", mode, seed, cfg.ID, optimize)
+		requireSameRun(t, label, got, want)
 	})
 }

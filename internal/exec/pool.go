@@ -92,14 +92,13 @@ func (a *arena[T]) reset() {
 }
 
 // poolKey selects the launch shape a pooled state was last used for, so
-// serial, lockstep and parallel-group launches each reuse states grown
-// to their own working-set shape.
+// sequential and lockstep launches each reuse states grown to their own
+// working-set shape.
 type poolKey uint8
 
 const (
 	poolSerial   poolKey = iota // sequential groups on the calling goroutine
 	poolLockstep                // goroutine-per-thread groups (barriers, races)
-	poolParallel                // work-group fan-out across a worker pool
 	poolKeys
 )
 
@@ -190,37 +189,24 @@ func (st *launchState) scrub() {
 	clear(m.globalCells)
 	m.globalCells = m.globalCells[:0]
 	m.interGroup = nil
-	m.vmSerial = nil
 }
 
 // launchState owns everything exec.Run used to make fresh per launch.
-// The embedded Machine is the launch's identity; groups holds one
-// groupState per concurrent group executor (one for serial launches, one
-// per worker for the parallel-group path), each owning its threads,
-// barrier, lockstep scheduler and VM stacks.
+// The embedded Machine is the launch's identity; group is the working
+// set every work-group of the launch runs on in turn.
 type launchState struct {
 	key poolKey
 	m   Machine
 	// initThread evaluates program-scope constant initializers host-side.
 	initThread thread
-	// serialVM is the register state shared by every sequential group of
-	// a fully serial launch (Machine.vmSerial points here).
+	// serialVM is the register state shared by every thread of a
+	// sequential launch.
 	serialVM vmState
-	// dom is the launch-level failure domain, reused while it has not
-	// fired (a fired domain's sync.Once and closed abort channel cannot
-	// be rearmed, so it is replaced instead).
-	dom    *failDomain
-	groups []*groupState
-	errs   []error
-}
-
-// group returns the i'th group executor state, growing the set on first
-// use of a wider shape.
-func (st *launchState) group(i int) *groupState {
-	for len(st.groups) <= i {
-		st.groups = append(st.groups, &groupState{})
-	}
-	return st.groups[i]
+	// dom is the launch's failure domain, reused while it has not fired
+	// (a fired domain's sync.Once and closed abort channel cannot be
+	// rearmed, so it is replaced instead).
+	dom   *failDomain
+	group groupState
 }
 
 // freshDom returns a failure domain that has never fired.
@@ -245,38 +231,28 @@ func (st *launchState) reset() {
 	}
 	m.code = nil
 	m.globalCells = m.globalCells[:0]
-	m.vmSerial = nil
 	m.interGroup = nil
 	m.state = st
-	st.errs = st.errs[:0]
 }
 
-// groupState is the working set of one group executor: the sequential
-// path runs every thread of a group on seq; the lockstep path runs one
+// groupState is the working set of one work-group: the sequential path
+// runs every thread of a group on seq; the lockstep path runs one
 // goroutine per thread over threads.
 type groupState struct {
-	g   groupCtx
-	bar barrier
-	ls  lockstep
-	// vm serves the sequential groups of one parallel-path worker (the
-	// fully serial launch uses launchState.serialVM instead, shared
-	// across its groups).
-	vm        vmState
+	g         groupCtx
+	bar       barrier
+	ls        lockstep
 	seq       thread
 	threads   []*thread
 	barCounts []int
-	// dom is the per-group failure domain of the parallel-group path,
-	// reused across the worker's groups while it has not fired.
-	dom *failDomain
 }
 
 // resetGroup rearms the groupCtx for a fresh group. Barrier and lockstep
 // state is rearmed separately, by the paths that use them.
-func (gs *groupState) resetGroup(m *Machine, gid [3]int, dom *failDomain) *groupCtx {
+func (gs *groupState) resetGroup(m *Machine, gid [3]int) *groupCtx {
 	g := &gs.g
 	g.m = m
 	g.id = gid
-	g.dom = dom
 	g.bar = nil
 	g.ls = nil
 	if g.local == nil {
@@ -296,14 +272,6 @@ func (gs *groupState) resetGroup(m *Machine, gid [3]int, dom *failDomain) *group
 	return g
 }
 
-// freshDom returns a per-group failure domain that has never fired.
-func (gs *groupState) freshDom() *failDomain {
-	if gs.dom == nil || gs.dom.dead.Load() {
-		gs.dom = newFailDomain()
-	}
-	return gs.dom
-}
-
 // thread returns the i'th pooled thread of the group executor.
 func (gs *groupState) thread(i int) *thread {
 	for len(gs.threads) <= i {
@@ -320,11 +288,6 @@ func (t *thread) resetState(m *Machine, g *groupCtx, gid, lid [3]int, fuel int64
 	t.env = nil
 	t.m = m
 	t.group = g
-	if g != nil {
-		t.dom = g.dom
-	} else {
-		t.dom = m.dom
-	}
 	t.gid = gid
 	t.lid = lid
 	t.fuel = fuel
@@ -354,21 +317,16 @@ func (st *launchState) poison() {
 	for i := range st.m.globalCells {
 		st.m.globalCells[i] = nil
 	}
-	for _, gs := range st.groups {
-		gs.seq.poison()
-		for _, th := range gs.threads {
-			th.poison()
-		}
-		poisonVM(&gs.vm)
-		gs.bar.token = barrierToken{iters: poisonWord}
-		gs.bar.fence = poisonWord
-		gs.bar.haveToken = true
-		for i := range gs.barCounts {
-			gs.barCounts[i] = -1
-		}
+	gs := &st.group
+	gs.seq.poison()
+	for _, th := range gs.threads {
+		th.poison()
 	}
-	for i := range st.errs {
-		st.errs[i] = errAborted
+	gs.bar.token = barrierToken{iters: poisonWord}
+	gs.bar.fence = poisonWord
+	gs.bar.haveToken = true
+	for i := range gs.barCounts {
+		gs.barCounts[i] = -1
 	}
 }
 

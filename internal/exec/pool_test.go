@@ -46,9 +46,7 @@ func TestPooledReuseAcrossDispatchModes(t *testing.T) {
 			out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 			runErr := exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
 				NoBarrier:  !info.HasBarrier,
-				NoAtomics:  !info.HasAtomic,
 				HasFwdDecl: info.HasFwdDecl,
-				Workers:    1,
 				Code:       codeFor(e, lowered),
 				Pool:       p,
 			})

@@ -219,8 +219,8 @@ func (t *thread) vmLoop(vm *vmState) error {
 			if t.fuel <= 0 {
 				return &TimeoutError{Where: "kernel execution"}
 			}
-			if t.fuel&255 == 0 && t.dom.dead.Load() {
-				if err := t.dom.err; err != nil {
+			if t.fuel&255 == 0 && t.m.dom.dead.Load() {
+				if err := t.m.dom.err; err != nil {
 					return err
 				}
 				return errAborted

@@ -16,8 +16,7 @@
 // derived from communication flow only into the per-thread checksum and
 // never into control flow, and all arithmetic goes through total "safe
 // math" wrappers. Because communication is confined within a work-group,
-// group results are independent of group scheduling — the property the
-// executor's parallel work-group path relies on.
+// group results are independent of the order the executor runs groups in.
 //
 // Generate is the entry point: Options selects the mode, seed, thread
 // budget and (for EMI testing, §5) the number of injected dead blocks.

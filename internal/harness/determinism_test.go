@@ -130,56 +130,6 @@ func TestConcurrentCampaignsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelWorkgroupDeterminism asserts the fan-out half of the
-// engine's central invariant at the device level: with the full defect
-// models armed, a launch that fans work-groups out across a worker budget
-// must produce byte-identical outcomes and outputs to the fully serial
-// executor, on every configuration and optimization level. Run under
-// -race this also verifies the parallel path's shared-memory discipline.
-func TestParallelWorkgroupDeterminism(t *testing.T) {
-	armImmutableAssert(t)
-	cfgs := []*device.Config{device.Reference(), device.ByID(1), device.ByID(14), device.ByID(19)}
-	seeds := []goldenSeed{
-		{generator.ModeBasic, 42},
-		{generator.ModeVector, 7},
-		{generator.ModeBarrier, 11},
-		{generator.ModeAll, 5},
-	}
-	for _, gs := range seeds {
-		// MaxTotalThreads 64 yields multi-group NDRanges, the shape the
-		// fan-out actually parallelizes.
-		k := generator.Generate(generator.Options{
-			Mode: gs.mode, Seed: gs.seed, MaxTotalThreads: 64,
-		})
-		for _, cfg := range cfgs {
-			for _, opt := range []bool{false, true} {
-				cr := cfg.Compile(k.Src, opt)
-				if cr.Outcome != device.OK {
-					continue
-				}
-				args, result := k.Buffers()
-				want := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Workers: 1})
-				for _, workers := range []int{2, 8} {
-					pargs, presult := k.Buffers()
-					got := cr.Kernel.Run(k.ND, pargs, presult, device.RunOptions{Workers: workers})
-					label := fmt.Sprintf("%s-%d on %s workers=%d", gs.mode, gs.seed, Key(cfg, opt), workers)
-					if got.Outcome != want.Outcome {
-						t.Fatalf("%s: outcome %v, want %v", label, got.Outcome, want.Outcome)
-					}
-					if len(got.Output) != len(want.Output) {
-						t.Fatalf("%s: %d outputs, want %d", label, len(got.Output), len(want.Output))
-					}
-					for j := range want.Output {
-						if got.Output[j] != want.Output[j] {
-							t.Fatalf("%s: out[%d] = %#x, want %#x", label, j, got.Output[j], want.Output[j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEngineDeterminism pins the two evaluation engines against each
 // other across the full defect-model matrix: for every golden case, every
 // configuration and both optimization levels, the register VM and the

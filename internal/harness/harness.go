@@ -29,13 +29,10 @@ func Key(cfg *device.Config, optimize bool) string {
 
 // RunOn compiles and executes the case on one configuration at one
 // optimization level through the shared campaign engine (compile caches,
-// cross-base result cache), with the whole machine available for
-// work-group fan-out. It is the single-shot entry point used by cldiff,
-// the reducer and the examples.
+// cross-base result cache). It is the single-shot entry point used by
+// cldiff, the reducer and the examples.
 func RunOn(cfg *device.Config, optimize bool, c Case, baseFuel int64) oracle.Result {
-	r := campaign.Default.RunCase(cfg, optimize, c, campaign.LaunchOptions{
-		BaseFuel: baseFuel, Workers: campaign.LaunchWorkers(1),
-	})
+	r := campaign.Default.RunCase(cfg, optimize, c, campaign.LaunchOptions{BaseFuel: baseFuel})
 	return r.AsOracle()
 }
 
@@ -50,7 +47,7 @@ func RunOnUncached(cfg *device.Config, optimize bool, c Case, baseFuel int64) or
 		return oracle.Result{Key: key, Outcome: cr.Outcome}
 	}
 	args, result := c.Buffers()
-	rr := cr.Kernel.Run(c.ND, args, result, device.RunOptions{BaseFuel: baseFuel, Workers: campaign.LaunchWorkers(1)})
+	rr := cr.Kernel.Run(c.ND, args, result, device.RunOptions{BaseFuel: baseFuel})
 	return oracle.Result{Key: key, Outcome: rr.Outcome, Output: rr.Output}
 }
 
@@ -104,7 +101,7 @@ func RunEverywhereUncached(cfgs []*device.Config, c Case, baseFuel int64) []orac
 		jobs = append(jobs, job{cfg, false}, job{cfg, true})
 	}
 	results := make([]oracle.Result, len(jobs))
-	campaign.Stream(nil, len(jobs), func(i, _ int) oracle.Result {
+	campaign.Stream(nil, len(jobs), func(i int) oracle.Result {
 		return RunOnUncached(jobs[i].cfg, jobs[i].opt, c, baseFuel)
 	}, func(i int, r oracle.Result) { results[i] = r })
 	return results
@@ -144,10 +141,8 @@ func generateAccepted(eng *campaign.Engine, mode generator.Mode, n int, seed int
 			})
 			next++
 		}
-		campaign.Stream(nil, batch, func(i, launch int) bool {
-			r := eng.RunCase(gen1, true, CaseFromKernel(cands[i], ""), campaign.LaunchOptions{
-				BaseFuel: baseFuel, Workers: launch,
-			})
+		campaign.Stream(nil, batch, func(i int) bool {
+			r := eng.RunCase(gen1, true, CaseFromKernel(cands[i], ""), campaign.LaunchOptions{BaseFuel: baseFuel})
 			return r.Outcome == device.OK
 		}, func(i int, ok bool) {
 			if ok && len(out) < n {

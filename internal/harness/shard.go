@@ -287,7 +287,7 @@ func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int
 	}
 	var encodeErr error
 	canceled := false
-	campaign.Stream(ctx, len(indices), func(i, _ int) encoded {
+	campaign.Stream(ctx, len(indices), func(i int) encoded {
 		raw, err := json.Marshal(sc.run(ctx, indices[i]))
 		return encoded{raw, err}
 	}, func(i int, e encoded) {

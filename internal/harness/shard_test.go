@@ -94,14 +94,11 @@ func TestShardMergeDeterminism(t *testing.T) {
 // TestThreadedDispatchCampaignDeterminism pins the dispatch contract at
 // campaign scale: how a campaign's work is dispatched onto threads is
 // observation-free. With GOMAXPROCS at 1 every stage runs one case at a
-// time and every launch runs its work-groups serially through the switch
-// loop; with GOMAXPROCS at 4 cases fan out across worker goroutines and
-// narrow stages hand their idle workers to the executor's work-group
-// fan-out. A Table 5 campaign — and its 2-shard merge — must render
-// byte-identical either way. Launches under both schedules share
-// result-cache entries (LaunchOptions.Workers is not part of the key),
-// so any divergence would also poison the cache; byte identity here
-// pins both properties at once.
+// time; with GOMAXPROCS at 4 cases and a matrix's representatives fan
+// out across worker goroutines. A Table 5 campaign — and its 2-shard
+// merge — must render byte-identical either way. The host's core count
+// is not part of the result-cache key, so any divergence would also
+// poison the cache; byte identity here pins both properties at once.
 func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 	armImmutableAssert(t)
 	p := Params{Table: 5, Scale: 2, Seed: 99, Threads: 24}

@@ -172,7 +172,7 @@ func classifyConfigurations(eng *campaign.Engine, perMode int, seed int64, maxTh
 	cfgs := device.All()
 	n := table1Cases(perMode)
 	records := make([]t1Record, n)
-	campaign.Stream(nil, n, func(i, _ int) t1Record {
+	campaign.Stream(nil, n, func(i int) t1Record {
 		return table1Record(nil, eng, cfgs, perMode, seed, maxThreads, baseFuel, i, n)
 	}, func(i int, r t1Record) { records[i] = r })
 	return foldTable1(cfgs, records)

@@ -288,7 +288,7 @@ func emiBenchmarkCampaign(eng *campaign.Engine, variantsPerBench int, seed int64
 	testCfgs := table3Configs()
 	clean := benchmarks.Clean()
 	records := make([]t3Record, len(clean))
-	campaign.Stream(nil, len(clean), func(i, _ int) t3Record {
+	campaign.Stream(nil, len(clean), func(i int) t3Record {
 		return table3Record(nil, eng, testCfgs, clean[i], variantsPerBench, seed, baseFuel, len(clean))
 	}, func(i int, r t3Record) { records[i] = r })
 	return foldTable3(records)

@@ -151,7 +151,7 @@ func clsmithCampaign(eng *campaign.Engine, perMode int, seed int64, maxThreads i
 	kernels := table4Kernels(eng, perMode, seed, maxThreads, baseFuel)
 	n := len(generator.Modes) * perMode
 	records := make([]t4Record, n)
-	campaign.Stream(nil, n, func(i, _ int) t4Record {
+	campaign.Stream(nil, n, func(i int) t4Record {
 		return table4Record(nil, eng, cfgs, kernels, perMode, baseFuel, i, n)
 	}, func(i int, r t4Record) { records[i] = r })
 	return foldTable4(cfgs, perMode, records)

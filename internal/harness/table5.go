@@ -208,7 +208,7 @@ func emiCampaign(eng *campaign.Engine, bases int, seed int64, maxThreads int, ba
 	keys := table5Keys(cfgs)
 	baseKernels := generateEMIBases(eng, bases, seed, maxThreads, baseFuel)
 	records := make([]t5Record, len(baseKernels))
-	campaign.Stream(nil, len(baseKernels), func(i, _ int) t5Record {
+	campaign.Stream(nil, len(baseKernels), func(i int) t5Record {
 		return table5Record(nil, eng, cfgs, keys, baseKernels[i], baseFuel, len(baseKernels))
 	}, func(i int, r t5Record) { records[i] = r })
 	return foldTable5(keys, len(baseKernels), records)
@@ -254,9 +254,9 @@ func generateEMIBases(eng *campaign.Engine, n int, seed int64, maxThreads int, b
 			})
 			next++
 		}
-		campaign.Stream(nil, batch, func(i, launch int) bool {
+		campaign.Stream(nil, batch, func(i int) bool {
 			k := cands[i]
-			opts := campaign.LaunchOptions{BaseFuel: baseFuel, Workers: launch}
+			opts := campaign.LaunchOptions{BaseFuel: baseFuel}
 			rr := eng.RunCase(gen1, true, CaseFromKernel(k, ""), opts)
 			if rr.Outcome != device.OK {
 				return false

@@ -202,7 +202,7 @@ func TestOptimizeAfterExecutionSharesProgram(t *testing.T) {
 	}`
 	run := func(p *ast.Program) uint64 {
 		out := newOut(1)
-		if err := exec.Run(p, nd1(), argsOut(out), exec.Options{NoBarrier: true, NoAtomics: true}); err != nil {
+		if err := exec.Run(p, nd1(), argsOut(out), exec.Options{NoBarrier: true}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return out.Scalar(0)

@@ -143,7 +143,6 @@ func (c *checker) checkIDBuiltin(ex *ast.Call) (ast.Expr, error) {
 }
 
 func (c *checker) checkAtomic(ex *ast.Call) (ast.Expr, error) {
-	c.info.HasAtomic = true
 	nargs := 2
 	switch ex.Name {
 	case "atomic_inc", "atomic_dec":

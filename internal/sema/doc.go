@@ -17,10 +17,10 @@
 // and die together with the program.
 //
 // Check also returns an Info summary of program features — HasBarrier,
-// HasAtomic, HasFwdDecl, vector usage, struct sizes — that the defect
-// models key on and that the device layer converts into the executor's
-// static guarantees (exec.Options.NoBarrier and NoAtomics, which gate the
-// sequential fast path and the parallel work-group path respectively).
+// HasFwdDecl, vector usage, struct sizes — that the defect models key on
+// and that the device layer converts into the executor's static
+// guarantees (exec.Options.NoBarrier, which gates the sequential fast
+// path).
 // The annotations themselves never depend on the defect set (defects only
 // gate rejections), which is what lets the device layer share one checked
 // program across defect models.

@@ -27,7 +27,6 @@ func (e *HangError) Error() string { return e.Msg }
 type Info struct {
 	HasBarrier     bool
 	BarrierCount   int
-	HasAtomic      bool
 	HasFwdDecl     bool // a forward declaration with a later definition
 	MaxStructBytes int
 	UsesGroupID    bool
