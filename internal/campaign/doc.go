@@ -46,7 +46,8 @@
 // cores its caller leaves idle (all of them for a single differential
 // test); case-level times representative-level fan-out never exceeds
 // GOMAXPROCS. Each launch itself runs on one goroutine at a time: the
-// executor runs work-groups in group order.
+// executor runs work-groups in group order, and a group's threads one at
+// a time under its lockstep baton, failing launches included.
 //
 // Entry points: Stream for the pipeline, Engine.RunMatrix for one case's
 // unit matrix, Engine.RunCase for single launches (cldiff, clrun, the

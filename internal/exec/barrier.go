@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"clfuzz/internal/ast"
 )
@@ -11,14 +10,13 @@ import (
 // divergence detection: all participating threads must arrive at the same
 // syntactic barrier having executed the same number of enclosing loop
 // iterations, and no thread may exit the kernel while others wait
-// (paper §3.1 "Barrier divergence").
+// (paper §3.1 "Barrier divergence"). Only one thread of a launch runs at
+// a time (see lockstep.go), so it needs no lock.
 type barrier struct {
 	group *groupCtx
 
-	mu           sync.Mutex
 	participants int
 	arrived      int
-	release      chan struct{}
 	token        barrierToken
 	haveToken    bool
 	fence        uint64
@@ -31,93 +29,55 @@ type barrierToken struct {
 	iters uint64
 }
 
-func newBarrier(n int, g *groupCtx) *barrier {
-	return &barrier{group: g, participants: n}
-}
-
-// reset rearms a pooled barrier for a fresh group. The release channel is
-// allocated lazily by the first parker, so single-thread groups — the
-// common sequential shape — never allocate one at all.
+// reset rearms a pooled barrier for a fresh group.
 func (b *barrier) reset(n int, g *groupCtx) {
 	b.group = g
 	b.participants = n
 	b.arrived = 0
-	b.release = nil
 	b.token = barrierToken{}
 	b.haveToken = false
 	b.fence = 0
 }
 
 // await blocks until every live participant arrives. It returns a
-// DivergenceError if threads arrive with mismatched tokens, or the
-// machine's error if the run is aborted while waiting. self is the
+// DivergenceError if threads arrive with mismatched tokens, or the launch
+// verdict if another thread failed while this one waited. self is the
 // caller's linearized local id, its identity to the group's lockstep
 // scheduler: arriving threads hand the baton on before parking, and a
 // released round resumes its threads in work-item order.
 func (b *barrier) await(tok barrierToken, fence uint64, self int) error {
-	b.mu.Lock()
 	if b.arrived == 0 {
 		b.token = tok
 		b.haveToken = true
 		b.fence = fence
 	} else if b.group.m.opts.CheckRaces && b.token != tok {
-		b.mu.Unlock()
 		return &DivergenceError{Msg: "threads arrived at distinct dynamic barriers"}
 	}
 	b.arrived++
-	if b.arrived == b.participants {
-		// Last arriver: apply fence effects to the race checker, then
-		// release the round.
-		b.group.clearRaces(b.fence | fence)
-		b.arrived = 0
-		b.haveToken = false
-		rel := b.release
-		b.release = nil
-		b.mu.Unlock()
-		if ls := b.group.ls; ls != nil {
-			// Mark the parked threads runnable, wake them, and restart
-			// the round from the lowest-numbered thread (not from this
-			// arrival order's tail).
-			ls.readyAll()
-			if rel != nil {
-				close(rel)
-			}
-			ls.yield(self, b.group.m.dom.abort)
-		} else if rel != nil {
-			close(rel)
-		}
-		return nil
+	if b.arrived < b.participants {
+		// Only multi-thread groups, which always run in lockstep, can
+		// get here.
+		b.group.ls.block(self)
+		return b.group.m.err
 	}
-	// The release channel is lazy: the first parker of a round allocates
-	// it, and a round with no parkers (single participant) never does.
-	if b.release == nil {
-		b.release = make(chan struct{})
-	}
-	rel := b.release
-	b.mu.Unlock()
+	// Last arriver: apply fence effects to the race checker, then
+	// release the round.
+	b.group.clearRaces(b.fence | fence)
+	b.arrived = 0
+	b.haveToken = false
 	if ls := b.group.ls; ls != nil {
-		ls.block(self)
+		// Mark the parked threads runnable and restart the round from the
+		// lowest-numbered thread (not from this arrival order's tail).
+		ls.readyAll()
+		ls.yield(self)
 	}
-	select {
-	case <-rel:
-		if ls := b.group.ls; ls != nil {
-			ls.waitTurn(self, b.group.m.dom.abort)
-		}
-		return nil
-	case <-b.group.m.dom.abort:
-		if err := b.group.m.dom.err; err != nil {
-			return err
-		}
-		return &CrashError{Msg: "aborted while waiting at barrier"}
-	}
+	return b.group.m.err
 }
 
 // quit removes a normally finishing thread from the barrier. If every
 // remaining participant is blocked at a barrier that this thread will never
 // reach, that is barrier divergence.
 func (b *barrier) quit() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.participants--
 	if b.participants > 0 && b.arrived == b.participants {
 		if b.group.m.opts.CheckRaces {
@@ -125,29 +85,13 @@ func (b *barrier) quit() error {
 		}
 		// Without checking enabled, release the stragglers so the
 		// machine does not deadlock (real GPUs exhibit arbitrary
-		// behaviour here; we choose release-and-continue).
+		// behaviour here; we choose release-and-continue). They become
+		// runnable; the baton reaches them when the quitting thread
+		// finishes.
 		b.group.clearRaces(b.fence)
 		b.arrived = 0
 		b.haveToken = false
-		rel := b.release
-		b.release = nil
-		if ls := b.group.ls; ls != nil {
-			// The released stragglers become runnable; the baton reaches
-			// them when the quitting thread finishes.
-			ls.readyAll()
-		}
-		if rel != nil {
-			close(rel)
-		}
+		b.group.ls.readyAll()
 	}
 	return nil
-}
-
-// quitErr removes an erroring thread; stragglers are woken via the group's
-// failure-domain abort channel, so only the participant count needs
-// adjusting.
-func (b *barrier) quitErr() {
-	b.mu.Lock()
-	b.participants--
-	b.mu.Unlock()
 }

@@ -210,34 +210,17 @@ func (t *thread) evalAtomic(ex *ast.Call, out *Value) error {
 			return err
 		}
 	}
-	// A sequential launch needs neither the RMW mutex nor atomic cell
-	// accesses: the calling goroutine is the only accessor.
-	unshared := t.m.unshared
-	if !unshared {
-		t.m.atomicMu.Lock()
+	// The baton makes the read-modify-write atomic: no other thread of
+	// the launch runs until this one yields.
+	if word == nil {
+		word = &target.Val
 	}
-	var old uint64
-	if word != nil {
-		old = loadWord(word, unshared)
-	} else {
-		old = target.loadScalar(unshared)
-	}
-	next, ok := atomicNext(ex.Name, old, operand, cmp, st)
+	next, ok := atomicNext(ex.Name, *word, operand, cmp, st)
 	if !ok {
-		if !unshared {
-			t.m.atomicMu.Unlock()
-		}
 		return fmt.Errorf("exec: unknown atomic %s", ex.Name)
 	}
-	if word != nil {
-		storeWord(word, next, unshared)
-	} else {
-		target.storeScalar(next, unshared)
-	}
-	if !unshared {
-		t.m.atomicMu.Unlock()
-	}
-	*out = scalarValue(old, st)
+	*out = scalarValue(*word, st)
+	*word = next
 	return nil
 }
 
@@ -413,7 +396,7 @@ func (t *thread) evalUserCall(ex *ast.Call, out *Value) error {
 			return err
 		}
 		c := t.newPrivCell(p.Type)
-		if err := storeCell(c, &arg, t.m.unshared); err != nil {
+		if err := storeCell(c, &arg); err != nil {
 			return err
 		}
 		frame.define(p.Name, c, true)

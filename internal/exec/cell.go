@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"clfuzz/internal/cltypes"
 )
@@ -11,6 +10,12 @@ import (
 // Vec; structs and arrays hold child cells; unions hold raw bytes so that
 // the layout-sensitive union defect models behave realistically. Pointer
 // cells hold a reference to another cell.
+//
+// Both engines read and write cell fields and flat buffer words plainly,
+// shared memory included. Racy kernels are legal inputs to the fuzzer;
+// they stay legal Go because no two threads of a launch ever run at once:
+// the lockstep baton (lockstep.go) orders every handover between thread
+// goroutines, and the sequential path has only one goroutine.
 type Cell struct {
 	Typ    cltypes.Type
 	Val    uint64   // scalar value (bit pattern truncated to width)
@@ -56,60 +61,6 @@ func newCell(t cltypes.Type, space cltypes.AddrSpace, shared bool) *Cell {
 	return c
 }
 
-// loadScalar reads the scalar value with the required visibility: an
-// atomic load for shared cells, since racy kernels are legal inputs to
-// the fuzzer and must not corrupt the Go runtime. unshared is the
-// machine's single-goroutine execution flag (Machine.unshared): when the
-// whole launch runs sequentially no concurrent access exists and even
-// shared cells are read plainly.
-func (c *Cell) loadScalar(unshared bool) uint64 {
-	if c.Shared && !unshared {
-		return atomic.LoadUint64(&c.Val)
-	}
-	return c.Val
-}
-
-func (c *Cell) storeScalar(v uint64, unshared bool) {
-	if c.Shared && !unshared {
-		atomic.StoreUint64(&c.Val, v)
-		return
-	}
-	c.Val = v
-}
-
-func (c *Cell) loadVecElem(i int, unshared bool) uint64 {
-	if c.Shared && !unshared {
-		return atomic.LoadUint64(&c.Vec[i])
-	}
-	return c.Vec[i]
-}
-
-func (c *Cell) storeVecElem(i int, v uint64, unshared bool) {
-	if c.Shared && !unshared {
-		atomic.StoreUint64(&c.Vec[i], v)
-		return
-	}
-	c.Vec[i] = v
-}
-
-// loadWord reads one flat-store word with the required visibility. Flat
-// words always live in global memory (shared); unshared is the machine's
-// single-goroutine execution flag, exactly as for Cell.loadScalar.
-func loadWord(w *uint64, unshared bool) uint64 {
-	if unshared {
-		return *w
-	}
-	return atomic.LoadUint64(w)
-}
-
-func storeWord(w *uint64, v uint64, unshared bool) {
-	if unshared {
-		*w = v
-		return
-	}
-	atomic.StoreUint64(w, v)
-}
-
 // Buffer is a host-allocated global memory array passed as a kernel
 // argument. Scalar-element buffers — the overwhelmingly common case, and
 // the layout every generated kernel uses for its result, dead, and comm
@@ -147,47 +98,43 @@ func NewBuffer(elem cltypes.Type, n int) *Buffer {
 	return b
 }
 
-// Fill sets every element of a scalar buffer to v. Host-side accessors
-// always use the shared-memory (atomic) discipline: they may run while a
-// concurrent kernel from a different launch holds the buffer.
+// Fill sets every element of a scalar buffer to v.
 func (b *Buffer) Fill(v uint64) {
 	for i := range b.Words {
-		storeWord(&b.Words[i], v, false)
+		b.Words[i] = v
 	}
 	for _, c := range b.Cells {
-		c.storeScalar(v, false)
+		c.Val = v
 	}
 }
 
 // SetScalar sets element i of a scalar buffer.
 func (b *Buffer) SetScalar(i int, v uint64) {
 	if b.wordT != nil {
-		storeWord(&b.Words[i], v, false)
+		b.Words[i] = v
 		return
 	}
-	b.Cells[i].storeScalar(v, false)
+	b.Cells[i].Val = v
 }
 
 // Scalar returns element i of a scalar buffer.
 func (b *Buffer) Scalar(i int) uint64 {
 	if b.wordT != nil {
-		return loadWord(&b.Words[i], false)
+		return b.Words[i]
 	}
-	return b.Cells[i].loadScalar(false)
+	return b.Cells[i].Val
 }
 
 // Scalars returns the contents of a scalar buffer.
 func (b *Buffer) Scalars() []uint64 {
 	if b.wordT != nil {
 		out := make([]uint64, len(b.Words))
-		for i := range b.Words {
-			out[i] = loadWord(&b.Words[i], false)
-		}
+		copy(out, b.Words)
 		return out
 	}
 	out := make([]uint64, len(b.Cells))
 	for i, c := range b.Cells {
-		out[i] = c.loadScalar(false)
+		out[i] = c.Val
 	}
 	return out
 }
@@ -275,7 +222,7 @@ func encodeValue(buf []byte, v *Value, t cltypes.Type) error {
 		offs := structLayout(tt)
 		for i, f := range tt.Fields {
 			var fv Value
-			if err := loadCell(v.Agg.Kids[i], false, &fv); err != nil {
+			if err := loadCell(v.Agg.Kids[i], &fv); err != nil {
 				return err
 			}
 			if err := encodeValue(buf[offs[i]:], &fv, f.Type); err != nil {
@@ -287,7 +234,7 @@ func encodeValue(buf []byte, v *Value, t cltypes.Type) error {
 		es := tt.Elem.Size()
 		for i := 0; i < tt.Len; i++ {
 			var ev Value
-			if err := loadCell(v.Agg.Kids[i], false, &ev); err != nil {
+			if err := loadCell(v.Agg.Kids[i], &ev); err != nil {
 				return err
 			}
 			if err := encodeValue(buf[i*es:], &ev, tt.Elem); err != nil {
@@ -303,12 +250,12 @@ func encodeValue(buf []byte, v *Value, t cltypes.Type) error {
 func decodeInto(c *Cell, buf []byte) error {
 	switch tt := c.Typ.(type) {
 	case *cltypes.Scalar:
-		c.storeScalar(decodeScalar(buf, tt), false)
+		c.Val = decodeScalar(buf, tt)
 		return nil
 	case *cltypes.Vector:
 		es := tt.Elem.Size()
 		for i := 0; i < tt.Len; i++ {
-			c.storeVecElem(i, decodeScalar(buf[i*es:], tt.Elem), false)
+			c.Vec[i] = decodeScalar(buf[i*es:], tt.Elem)
 		}
 		return nil
 	case *cltypes.StructT:

@@ -25,8 +25,7 @@ import (
 // generator emits all the time and novel bits come only from unusual
 // control-flow layouts. That is the feedback signal internal/corpus ranks
 // its corpus by. All updates are commutative (bitwise OR, counter adds),
-// so a map filled by lockstep thread goroutines or by concurrent launches
-// does not depend on their order.
+// so a map filled by concurrent launches does not depend on their order.
 
 // CoverBits is the size of the shared edge bitmap. Power of two so edge
 // hashes reduce by masking.
@@ -64,7 +63,7 @@ func edgeIndex(fn, pc, target int32) uint32 {
 }
 
 // hitEdge sets the bit for one taken branch. go.mod targets Go 1.22, so
-// the atomic OR is a CAS loop (mirroring Stats.noteThreadSteps).
+// the atomic OR is a CAS loop.
 func (c *CoverMap) hitEdge(fn, pc, target int32) {
 	i := edgeIndex(fn, pc, target)
 	w, mask := &c.bits[i>>6], uint64(1)<<(i&63)

@@ -49,8 +49,7 @@
 //   - Sequential fast path: barrier-free kernels (Options.NoBarrier, the
 //     common case for generated tests) with race checking off run every
 //     thread of every work-group back-to-back on the calling goroutine —
-//     no goroutine spawns, no barrier objects, and plain (non-atomic)
-//     memory accesses.
+//     no goroutine spawns and no barrier objects.
 //   - Lockstep goroutine-per-thread: kernels that reach barriers (and
 //     any race-checked launch) run each work-group's threads on
 //     goroutines synchronized by a collective barrier object with
@@ -61,12 +60,21 @@
 //     them race reports, divergence verdicts and buffer contents — are
 //     identical on every run of the same launch. Determinism here is
 //     what the campaign result cache, the shard/merge pipeline and the
-//     differential oracle itself rest on.
+//     differential oracle itself rest on. A thread that fails records the
+//     launch verdict and readies its parked siblings; each thread that
+//     takes the baton afterwards retires without running kernel code.
+//
+// On both schedules no two threads of a launch ever execute at once, so
+// every memory access is a plain load or store — no atomics and no locks,
+// even for the atomic builtins — and no thread runs after the first
+// failure. The -race suites check the first property; the second makes a
+// failing launch report the same buffers, fuel high-water mark and
+// coverage on either schedule.
 //
 // TestThreadedMatchesSwitch and the FuzzThreadedMatchesSwitch target pin
 // the two schedules against each other on barrier-free kernels (withheld
-// NoBarrier puts a launch on the lockstep path): same verdict and, for
-// completed launches, same buffers, fuel high-water mark and coverage.
+// NoBarrier puts a launch on the lockstep path): same verdict, buffers,
+// fuel high-water mark and coverage, for failing launches too.
 //
 // Parallelism lives above the executor: internal/campaign runs many
 // launches at once, so one launch never needs more than one core.
@@ -94,9 +102,9 @@
 // difference — which the determinism test suites run under -race.
 //
 // Aggregate loads borrow: loading a struct or array rvalue yields a
-// read-only view of the stored cells rather than a deep copy whenever no
-// concurrent writer can exist (Value.Agg); consumers copy out before any
-// further evaluation can write the underlying storage.
+// read-only view of the stored cells rather than a deep copy (Value.Agg);
+// consumers copy out before any further evaluation can write the
+// underlying storage, and no other thread runs in between.
 //
 // The device layer (internal/device) wraps Run with the per-configuration
 // defect models; hosts normally go through device.Kernel.Run rather than

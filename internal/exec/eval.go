@@ -126,7 +126,7 @@ func (t *thread) arenaCell(typ cltypes.Type) *Cell {
 	return c
 }
 
-// newPrivCell arena-allocates a private (unshared) cell tree of type typ:
+// newPrivCell arena-allocates a private (non-shared) cell tree of type typ:
 // every node — including the scalar leaves of structs and arrays, which
 // with declaration initializers are the interpreter's dominant allocation
 // — comes from the chunk; only the Kids/Vec/Bytes backing slices are
@@ -161,19 +161,11 @@ func (t *thread) newPrivCell(typ cltypes.Type) *Cell {
 	return newCell(typ, cltypes.Private, false)
 }
 
-var errAborted = &CrashError{Msg: "aborted"}
-
-// step charges one fuel unit and polls for a domain abort.
+// step charges one fuel unit.
 func (t *thread) step() error {
 	t.fuel--
 	if t.fuel <= 0 {
 		return &TimeoutError{Where: "kernel execution"}
-	}
-	if t.fuel&255 == 0 && t.m.dom.dead.Load() {
-		if err := t.m.dom.err; err != nil {
-			return err
-		}
-		return errAborted
 	}
 	return nil
 }
@@ -392,13 +384,11 @@ func (t *thread) execDecl(d *ast.VarDecl) error {
 		// Local-memory variables are allocated once per work-group and
 		// shared by its threads. OpenCL forbids initializers on them.
 		g := t.group
-		g.mu.Lock()
 		c, ok := g.local[d]
 		if !ok {
 			c = NewCell(d.Type, cltypes.Local)
 			g.local[d] = c
 		}
-		g.mu.Unlock()
 		t.env.define(d.Name, c, false)
 		return nil
 	}
@@ -408,7 +398,7 @@ func (t *thread) execDecl(d *ast.VarDecl) error {
 		if err := t.evalInit(d.Type, d.Init, &v); err != nil {
 			return err
 		}
-		if err := storeCell(c, &v, t.m.unshared); err != nil {
+		if err := storeCell(c, &v); err != nil {
 			return err
 		}
 	}
@@ -445,7 +435,7 @@ func (t *thread) evalInit(typ cltypes.Type, init ast.Expr, out *Value) error {
 			if err := t.evalInit(tt.Elem, el, &v); err != nil {
 				return err
 			}
-			if err := storeCell(c.Kids[i], &v, t.m.unshared); err != nil {
+			if err := storeCell(c.Kids[i], &v); err != nil {
 				return err
 			}
 		}
@@ -484,7 +474,7 @@ func (t *thread) evalInit(typ cltypes.Type, init ast.Expr, out *Value) error {
 			if err := t.evalInit(tt.Fields[i].Type, el, &fv); err != nil {
 				return err
 			}
-			if err := storeCell(c.Kids[i], &fv, t.m.unshared); err != nil {
+			if err := storeCell(c.Kids[i], &fv); err != nil {
 				return err
 			}
 		}
@@ -545,10 +535,10 @@ func (t *thread) ptrLV(p Ptr, crashMsg string) (lval, error) {
 		if p.flatWord() == nil {
 			return lval{}, &CrashError{Msg: crashMsg}
 		}
-		return wordLV(p.Flat, p.Idx, t.m.unshared), nil
+		return wordLV(p.Flat, p.Idx), nil
 	}
 	if target := p.Target(); target != nil {
-		return directLV(target, t.m.unshared), nil
+		return directLV(target), nil
 	}
 	return lval{}, &CrashError{Msg: crashMsg}
 }
@@ -562,7 +552,7 @@ func (t *thread) evalLV(e ast.Expr) (lval, error) {
 		if c == nil {
 			return lval{}, fmt.Errorf("exec: undefined variable %q", ex.Name)
 		}
-		return directLV(c, t.m.unshared), nil
+		return directLV(c), nil
 	case *ast.Unary:
 		if ex.Op == ast.Deref {
 			if err := t.evalExpr(ex.X, &tmp); err != nil {
@@ -595,7 +585,7 @@ func (t *thread) evalLV(e ast.Expr) (lval, error) {
 		if idx < 0 || idx >= len(blv.c.Kids) {
 			return lval{}, &CrashError{Msg: fmt.Sprintf("array index %d out of bounds [0,%d)", idx, len(blv.c.Kids))}
 		}
-		return directLV(blv.c.Kids[idx], t.m.unshared), nil
+		return directLV(blv.c.Kids[idx]), nil
 	case *ast.Member:
 		var base *Cell
 		if ex.Arrow {
@@ -633,9 +623,9 @@ func (t *thread) evalLV(e ast.Expr) (lval, error) {
 			return lval{}, fmt.Errorf("exec: no field %q in %s", ex.Name, st)
 		}
 		if st.IsUnion {
-			return lval{c: base, uField: st.Fields[i].Type, vecIdx: -1, unshared: t.m.unshared}, nil
+			return lval{c: base, uField: st.Fields[i].Type, vecIdx: -1}, nil
 		}
-		return directLV(base.Kids[i], t.m.unshared), nil
+		return directLV(base.Kids[i]), nil
 	case *ast.Swizzle:
 		blv, err := t.evalLV(ex.Base)
 		if err != nil {
@@ -648,7 +638,7 @@ func (t *thread) evalLV(e ast.Expr) (lval, error) {
 		if blv.uField != nil || blv.vecIdx >= 0 || blv.flat != nil {
 			return lval{}, fmt.Errorf("exec: cannot swizzle a view lvalue")
 		}
-		return lval{c: blv.c, vecIdx: idx[0], unshared: t.m.unshared}, nil
+		return lval{c: blv.c, vecIdx: idx[0]}, nil
 	}
 	return lval{}, fmt.Errorf("exec: expression %T is not an lvalue", e)
 }

@@ -33,7 +33,7 @@ func (t *thread) evalExpr(e ast.Expr, out *Value) error {
 					return err
 				}
 			}
-			return loadCell(c, t.m.unshared, out)
+			return loadCell(c, out)
 		}
 		if v, ok := predefinedConst(ex.Name); ok {
 			*out = scalarValue(v, cltypes.TUInt)
@@ -669,7 +669,7 @@ func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
 		for i, f := range st.Fields {
 			if at, ok := f.Type.(*cltypes.Array); ok && at.Len > 7 {
 				if _, ok := at.Elem.(*cltypes.Scalar); ok {
-					dst.Kids[i].Kids[7].storeScalar(0, t.m.unshared)
+					dst.Kids[i].Kids[7].Val = 0
 				}
 			}
 		}
@@ -687,7 +687,7 @@ func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
 		if hasAgg && len(st.Fields) > 0 {
 			last := dst.Kids[len(st.Fields)-1]
 			if _, ok := last.Typ.(*cltypes.Scalar); ok {
-				last.storeScalar(0, t.m.unshared)
+				last.Val = 0
 			}
 		}
 	}

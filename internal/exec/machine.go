@@ -77,7 +77,7 @@ type Options struct {
 	// issues no barrier calls (sema.Info.HasBarrier == false). Together
 	// with CheckRaces being off it enables the sequential fast path: each
 	// work-group's threads run back-to-back on the calling goroutine with
-	// no goroutine spawns, no barrier object, and no atomic cell accesses.
+	// no goroutine spawns and no barrier object.
 	NoBarrier bool
 	// HasFwdDecl is the front-end's report of a forward-declared function
 	// with a later definition, a trigger for the Figure 2(c) defects.
@@ -109,21 +109,10 @@ type Options struct {
 // Stats reports execution cost measurements, used to calibrate the fuel
 // model against the paper's timeout rates.
 type Stats struct {
-	// MaxThreadSteps is the largest per-thread evaluation step count.
-	// Concurrent threads update it with a lock-free atomic max; read it
-	// only after Run returns.
+	// MaxThreadSteps is the largest per-thread evaluation step count over
+	// the threads that ran; threads retired by an earlier failure run no
+	// steps. Read it after Run returns.
 	MaxThreadSteps int64
-}
-
-// noteThreadSteps folds one thread's step count into MaxThreadSteps with a
-// compare-and-swap loop (an atomic max, replacing the former mutex).
-func (st *Stats) noteThreadSteps(used int64) {
-	for {
-		cur := atomic.LoadInt64(&st.MaxThreadSteps)
-		if used <= cur || atomic.CompareAndSwapInt64(&st.MaxThreadSteps, cur, used) {
-			return
-		}
-	}
 }
 
 // TimeoutError reports fuel exhaustion.
@@ -224,29 +213,6 @@ func samePtrTarget(a, b Ptr) bool {
 	return a.Target() == b.Target()
 }
 
-// failDomain is a launch's abort scope: every thread stops as soon as
-// any of them fails, and the first recorded error is the launch verdict.
-// Groups run in group order, so a failure also stops the groups after it.
-type failDomain struct {
-	dead     atomic.Bool
-	failOnce sync.Once
-	err      error
-	abort    chan struct{}
-}
-
-func newFailDomain() *failDomain {
-	return &failDomain{abort: make(chan struct{})}
-}
-
-// fail records the first error and aborts the domain's threads.
-func (d *failDomain) fail(err error) {
-	d.failOnce.Do(func() {
-		d.err = err
-		d.dead.Store(true)
-		close(d.abort)
-	})
-}
-
 // Machine executes one kernel launch.
 type Machine struct {
 	prog   *ast.Program
@@ -255,9 +221,8 @@ type Machine struct {
 	args   Args
 	opts   Options
 
-	globals  map[string]*Cell // program-scope constant objects
-	funcs    map[string]*ast.FuncDecl
-	atomicMu sync.Mutex
+	globals map[string]*Cell // program-scope constant objects
+	funcs   map[string]*ast.FuncDecl
 
 	// code is the lowered bytecode when this launch runs on the register
 	// VM (nil for the tree walker); globalCells mirrors the globals map
@@ -265,18 +230,16 @@ type Machine struct {
 	code        *code.Program
 	globalCells []*Cell
 
-	// unshared marks the sequential fast path: barrier-free kernels (or
+	// sequential marks the sequential fast path: barrier-free kernels (or
 	// single-thread work-groups) with race checking off run every thread
-	// of every work-group back-to-back on the calling goroutine. It is
-	// also the memory-model flag: with the whole launch on one goroutine,
-	// loads and stores of shared cells and flat buffer words skip the
-	// atomic operations that goroutine-per-thread execution requires.
-	unshared bool
+	// of every work-group back-to-back on the calling goroutine.
+	sequential bool
 
-	// dom is the launch's failure domain.
-	dom *failDomain
+	// err is the launch verdict, the first error any thread reported.
+	// Only the thread holding the baton runs, so it is also what tells a
+	// thread that receives the baton after a failure to retire.
+	err error
 
-	raceMu     sync.Mutex
 	interGroup map[memKey]*accessRec // global-memory access record, per kernel run
 
 	// state is the pooled container this Machine is embedded in; it owns
@@ -401,8 +364,7 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	m.nd = nd
 	m.args = args
 	m.opts = opts
-	m.unshared = sequential
-	m.dom = state.freshDom()
+	m.sequential = sequential
 	if opts.Code != nil {
 		m.code = opts.Code
 		vmLaunches.Add(1)
@@ -430,7 +392,7 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 			if err := th.evalInit(g.Type, g.Init, &v); err != nil {
 				return err
 			}
-			if err := storeCell(c, &v, true); err != nil {
+			if err := storeCell(c, &v); err != nil {
 				return err
 			}
 		}
@@ -453,13 +415,33 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 					return cerr
 				}
 				m.runGroup(&state.group, [3]int{gx, gy, gz})
-				if m.dom.dead.Load() {
-					return m.dom.err
+				if m.err != nil {
+					return m.err
 				}
 			}
 		}
 	}
-	return m.dom.err
+	return nil
+}
+
+// fail records err as the launch verdict unless an earlier thread
+// already failed.
+func (m *Machine) fail(err error) {
+	if m.err == nil {
+		m.err = err
+	}
+}
+
+// runThread runs one work-item and folds its step count into the
+// launch's Stats high-water mark.
+func (m *Machine) runThread(th *thread) error {
+	err := th.run()
+	if st := m.opts.Stats; st != nil {
+		if used := m.opts.Fuel - th.fuel; used > st.MaxThreadSteps {
+			st.MaxThreadSteps = used
+		}
+	}
+	return err
 }
 
 func (m *Machine) hashGate(salt, divisor uint64) bool {
@@ -474,16 +456,14 @@ type groupCtx struct {
 	// ls serializes the group's thread goroutines into one deterministic
 	// interleaving (nil on the sequential fast path, which needs none).
 	ls    *lockstep
-	mu    sync.Mutex
 	local map[*ast.VarDecl]*Cell // local-memory variables, one per group
 	races map[memKey]*accessRec  // intra-group access record, cleared at barriers
 }
 
 func (m *Machine) runGroup(gs *groupState, gid [3]int) {
 	g := gs.resetGroup(m, gid)
-	dom := m.dom
 	n := m.nd.GroupLinear()
-	if m.unshared {
+	if m.sequential {
 		m.runGroupSequential(gs, n)
 		return
 	}
@@ -522,53 +502,45 @@ func (m *Machine) runGroup(gs *groupState, gid [3]int) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					// Containment for a panic on this thread goroutine: the
-					// group gets a crash verdict and the thread retires from
-					// the barrier and the lockstep schedule exactly as the
-					// error path does, so its siblings drain instead of
-					// deadlocking on a vanished peer.
+					self := th.lidLinear()
+					var err error
+					// However the thread ends, it passes the baton on. That
+					// includes a panic, contained here: only the baton
+					// holder runs, so a panicking thread holds it.
 					defer func() {
 						if r := recover(); r != nil {
-							g.bar.quitErr()
-							dom.fail(&CrashError{Msg: fmt.Sprintf("evaluator panic: %v", r)})
-							g.ls.finish(th.lidLinear())
+							err = &CrashError{Msg: fmt.Sprintf("evaluator panic: %v", r)}
 						}
+						if err != nil {
+							// Record the verdict and ready the parked
+							// siblings: each takes the baton in turn and
+							// retires.
+							m.fail(err)
+							g.ls.readyAll()
+						}
+						g.ls.finish(self)
 					}()
-					g.ls.waitTurn(th.lidLinear(), dom.abort)
-					err := th.run()
-					if st := m.opts.Stats; st != nil {
-						st.noteThreadSteps(m.opts.Fuel - th.fuel)
+					g.ls.waitTurn(self)
+					if m.err != nil {
+						return // an earlier thread failed: retire without running
 					}
+					err = m.runThread(th)
 					if barCounts != nil {
-						barCounts[th.lidLinear()] = th.barrierCount
+						barCounts[self] = th.barrierCount
 					}
-					if err != nil {
-						g.bar.quitErr()
-						// fail before retiring from the lockstep, so the
-						// first error of the deterministic schedule is
-						// the group's verdict; the finish below must
-						// still run — a thread left ready-but-gone would
-						// soak up a later grant and stall the group.
-						dom.fail(err)
-						g.ls.finish(th.lidLinear())
-						return
+					if err == nil {
+						err = g.bar.quit()
 					}
-					if derr := g.bar.quit(); derr != nil {
-						dom.fail(derr)
-						g.ls.finish(th.lidLinear())
-						return
-					}
-					g.ls.finish(th.lidLinear())
 				}()
 			}
 		}
 	}
-	g.ls.start()
+	g.ls.grant() // every thread starts ready: the baton goes to thread 0
 	wg.Wait()
-	if barCounts != nil && !dom.dead.Load() {
+	if barCounts != nil && m.err == nil {
 		for i := 1; i < n; i++ {
 			if barCounts[i] != barCounts[0] {
-				dom.fail(&DivergenceError{Msg: fmt.Sprintf(
+				m.fail(&DivergenceError{Msg: fmt.Sprintf(
 					"threads of group %v executed different barrier counts (%d vs %d)",
 					g.id, barCounts[0], barCounts[i])})
 				break
@@ -610,14 +582,8 @@ func (m *Machine) runGroupSequential(gs *groupState, n int) {
 				lid := [3]int{lx, ly, lz}
 				th.resetState(m, g, m.gidOf(g, lid), lid, m.opts.Fuel)
 				th.vm = sharedVM
-				err := th.run()
-				if st := m.opts.Stats; st != nil {
-					if used := m.opts.Fuel - th.fuel; used > st.MaxThreadSteps {
-						st.MaxThreadSteps = used
-					}
-				}
-				if err != nil {
-					m.dom.fail(err)
+				if err := m.runThread(th); err != nil {
+					m.fail(err)
 					return
 				}
 			}
@@ -751,15 +717,12 @@ func (t *thread) noteWordAccess(w *uint64, write, isAtomic bool) error {
 func (t *thread) noteLoc(loc memKey, write, isAtomic bool) error {
 	// Intra-group record (cleared at barriers).
 	g := t.group
-	g.mu.Lock()
 	rec, ok := g.races[loc]
 	if !ok {
 		rec = newAccessRec()
 		g.races[loc] = rec
 	}
-	raced := rec.note(t.lidLinear(), write, isAtomic)
-	g.mu.Unlock()
-	if raced {
+	if rec.note(t.lidLinear(), write, isAtomic) {
 		return &RaceError{Msg: fmt.Sprintf("intra-group race on %s cell (group %v, thread %v)", loc.space(), g.id, t.lid)}
 	}
 	// Inter-group record for global memory (never cleared). Unlike the
@@ -767,15 +730,12 @@ func (t *thread) noteLoc(loc memKey, write, isAtomic bool) error {
 	// as non-racing across groups: OpenCL 1.x global atomics are atomic
 	// device-wide, and the standard benchmarks rely on this.
 	if loc.space() == cltypes.Global {
-		t.m.raceMu.Lock()
 		grec, ok := t.m.interGroup[loc]
 		if !ok {
 			grec = newAccessRec()
 			t.m.interGroup[loc] = grec
 		}
-		gr := grec.note(t.groupLinear(), write, isAtomic)
-		t.m.raceMu.Unlock()
-		if gr {
+		if grec.note(t.groupLinear(), write, isAtomic) {
 			return &RaceError{Msg: fmt.Sprintf("inter-group race on global cell (group %v, thread %v)", g.id, t.lid)}
 		}
 	}
@@ -788,11 +748,9 @@ func (g *groupCtx) clearRaces(fence uint64) {
 	if !g.m.opts.CheckRaces {
 		return
 	}
-	g.mu.Lock()
 	for loc := range g.races {
 		if sp := loc.space(); (sp == cltypes.Local && fence&1 != 0) || (sp == cltypes.Global && fence&2 != 0) {
 			delete(g.races, loc)
 		}
 	}
-	g.mu.Unlock()
 }

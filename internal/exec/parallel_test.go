@@ -80,7 +80,7 @@ kernel void k(global ulong *out) {
 // central invariant: a race-free launch must produce byte-identical
 // buffer contents on the sequential fast path and on the lockstep
 // goroutine-per-thread schedule, on either engine. Run with -race this
-// also verifies the shared-cell atomic discipline of the lockstep path.
+// also verifies that the lockstep path never runs two threads at once.
 func TestParallelGroupsDeterministic(t *testing.T) {
 	// Verify the read-only-AST contract on every launch of this test: the
 	// same checked program is run on both schedules and engines, the
@@ -297,16 +297,32 @@ func outBuffer(nd exec.NDRange) func() (exec.Args, *exec.Buffer) {
 	}
 }
 
+// failFirstKernel crashes work-item 0 of every group on an out-of-bounds
+// store while its siblings loop over a shared read-modify-write of
+// out[0]. No thread may run after a launch fails, so a sibling that did
+// would show in the buffers, the fuel high-water mark and the coverage —
+// and, since the executor uses no atomics, in a -race report.
+var failFirstKernel = struct{ name, src string }{"fail-first", `
+kernel void k(global ulong *out) {
+    ulong v = 0;
+    if (get_linear_local_id() == 0UL) { out[1000000] = 1UL; }
+    for (int i = 0; i < 20; i++) {
+        if ((v & 1UL) == 0UL) { v = v * 7UL + (ulong)i; } else { v = v + 3UL; }
+        out[0] = out[0] + v;
+    }
+    out[get_linear_global_id()] = v;
+}
+`}
+
 // TestThreadedMatchesSwitch pins the two schedules against each other on
 // every observation, not just buffer contents: on every kernel shape,
 // NDRange and fuel budget, a VM launch whose threads run on lockstep
 // goroutines (threaded) reports exactly what the sequential path — every
 // thread through the switch loop on the calling goroutine — reports: the
-// same error (including the fuel-exhaustion verdict) and, when the launch
-// completes, identical buffer contents, Stats fuel high-water mark,
-// coverage edge set and defect-site hit counts. A failing launch is
-// compared on its verdict alone: after an abort, the lockstep thread
-// holding the baton runs on to its next abort poll.
+// same error (including the fuel-exhaustion verdict), buffer contents,
+// Stats fuel high-water mark, coverage edge set and defect-site hit
+// counts. Failing launches are held to the same comparison: on either
+// schedule, no thread runs after the first failure.
 func TestThreadedMatchesSwitch(t *testing.T) {
 	exec.SetDebugImmutable(true)
 	t.Cleanup(func() { exec.SetDebugImmutable(false) })
@@ -315,6 +331,7 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 		{Global: [3]int{8, 2, 1}, Local: [3]int{2, 2, 1}},
 	}
 	all := append(append([]struct{ name, src string }{}, parallelKernels...), engineKernels...)
+	all = append(all, failFirstKernel)
 	for _, k := range all {
 		prog, err := parser.Parse(k.src)
 		if err != nil {
@@ -345,11 +362,8 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 	if (got.err == nil) != (want.err == nil) {
 		t.Fatalf("%s: threaded err %v, sequential err %v", label, got.err, want.err)
 	}
-	if want.err != nil {
-		if got.err.Error() != want.err.Error() {
-			t.Fatalf("%s: threaded err %q, sequential err %q", label, got.err, want.err)
-		}
-		return
+	if want.err != nil && got.err.Error() != want.err.Error() {
+		t.Fatalf("%s: threaded err %q, sequential err %q", label, got.err, want.err)
 	}
 	for i := range want.out {
 		if got.out[i] != want.out[i] {
@@ -379,10 +393,10 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 // executor defects and fuel — on the sequential path, every thread
 // through the switch loop on the calling goroutine, and threaded, on the
 // lockstep goroutine-per-thread schedule. The comparison is
-// TestThreadedMatchesSwitch's: the same verdict (including Timeout) and,
-// for completed launches, the same buffers, fuel high-water mark,
-// coverage edge set and defect-site hits. Kernels are generated up to 64
-// threads so NDRanges span several multi-thread work-groups.
+// TestThreadedMatchesSwitch's: the same verdict (including Timeout),
+// buffers, fuel high-water mark, coverage edge set and defect-site hits,
+// for failing launches too. Kernels are generated up to 64 threads so
+// NDRanges span several multi-thread work-groups.
 func FuzzThreadedMatchesSwitch(f *testing.F) {
 	f.Add(uint8(0), uint32(42), uint8(0), false)
 	f.Add(uint8(1), uint32(7), uint8(3), true)

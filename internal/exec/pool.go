@@ -202,19 +202,7 @@ type launchState struct {
 	// serialVM is the register state shared by every thread of a
 	// sequential launch.
 	serialVM vmState
-	// dom is the launch's failure domain, reused while it has not fired
-	// (a fired domain's sync.Once and closed abort channel cannot be
-	// rearmed, so it is replaced instead).
-	dom   *failDomain
-	group groupState
-}
-
-// freshDom returns a failure domain that has never fired.
-func (st *launchState) freshDom() *failDomain {
-	if st.dom == nil || st.dom.dead.Load() {
-		st.dom = newFailDomain()
-	}
-	return st.dom
+	group    groupState
 }
 
 // reset rearms the state for a new launch: maps cleared, arenas rewound
@@ -232,6 +220,7 @@ func (st *launchState) reset() {
 	m.code = nil
 	m.globalCells = m.globalCells[:0]
 	m.interGroup = nil
+	m.err = nil
 	m.state = st
 }
 

@@ -17,9 +17,7 @@ type Value struct {
 	// every consumer (storeCell, union encoding, parameter binding) copies
 	// out of it before any further evaluation can write to the underlying
 	// cells, so the load-then-consume pattern — the checksum loop of every
-	// generated kernel — pays no deep copy. Loads from cells a concurrent
-	// thread could be writing (shared cells of a multi-goroutine launch)
-	// still detach a private copy under the atomic discipline.
+	// generated kernel — pays no deep copy.
 	Agg *Cell
 }
 
@@ -58,19 +56,18 @@ func convertScalar(v *Value, to *cltypes.Scalar) Value {
 	return Value{T: to, Scalar: cltypes.Convert(v.Scalar, from, to)}
 }
 
-// loadCell reads the full value stored in a cell into *out. unshared
-// propagates the machine's single-goroutine execution flag down to the
-// scalar accessors. Results are written with full struct assignments, so
-// out may be reused as scratch across calls.
-func loadCell(c *Cell, unshared bool, out *Value) error {
+// loadCell reads the full value stored in a cell into *out. Results are
+// written with full struct assignments, so out may be reused as scratch
+// across calls.
+func loadCell(c *Cell, out *Value) error {
 	switch t := c.Typ.(type) {
 	case *cltypes.Scalar:
-		*out = Value{T: t, Scalar: c.loadScalar(unshared)}
+		*out = Value{T: t, Scalar: c.Val}
 		return nil
 	case *cltypes.Vector:
 		vec := make([]uint64, t.Len)
 		for i := range vec {
-			vec[i] = c.loadVecElem(i, unshared)
+			vec[i] = c.Vec[i]
 		}
 		*out = Value{T: t, Vec: vec}
 		return nil
@@ -78,34 +75,22 @@ func loadCell(c *Cell, unshared bool, out *Value) error {
 		*out = Value{T: t, Ptr: c.Ptr}
 		return nil
 	case *cltypes.StructT, *cltypes.Array:
-		// Aggregate load: borrow a read-only view. Safe whenever no other
-		// goroutine can write the cells before the value is consumed —
-		// always true for private cells and for any cell of a
-		// single-goroutine launch. The evaluator consumes aggregate values
-		// (store, encode, bind) before evaluating anything else, so
-		// same-thread mutation cannot intervene either.
-		if unshared || !c.Shared {
-			*out = Value{T: c.Typ, Agg: c}
-			return nil
-		}
-		// Shared cell with live concurrency: detach a private deep copy
-		// under the atomic discipline, as before.
-		cp := newCell(c.Typ, cltypes.Private, false)
-		if err := copyCell(cp, c, unshared); err != nil {
-			return err
-		}
-		*out = Value{T: c.Typ, Agg: cp}
+		// Aggregate load: borrow a read-only view. No other thread runs
+		// before the value is consumed, and the evaluator consumes
+		// aggregate values (store, encode, bind) before evaluating
+		// anything else, so same-thread mutation cannot intervene either.
+		*out = Value{T: c.Typ, Agg: c}
 		return nil
 	}
 	return fmt.Errorf("exec: cannot load cell of type %s", c.Typ)
 }
 
 // storeCell writes a value into a cell, converting scalars as needed.
-func storeCell(c *Cell, v *Value, unshared bool) error {
+func storeCell(c *Cell, v *Value) error {
 	switch t := c.Typ.(type) {
 	case *cltypes.Scalar:
 		if vs, ok := v.T.(*cltypes.Scalar); ok {
-			c.storeScalar(cltypes.Convert(v.Scalar, vs, t), unshared)
+			c.Val = cltypes.Convert(v.Scalar, vs, t)
 			return nil
 		}
 		return fmt.Errorf("exec: cannot store %s into %s", v.T, t)
@@ -114,7 +99,7 @@ func storeCell(c *Cell, v *Value, unshared bool) error {
 			return fmt.Errorf("exec: cannot store %s into %s", v.T, t)
 		}
 		for i := 0; i < t.Len; i++ {
-			c.storeVecElem(i, v.Vec[i], unshared)
+			c.Vec[i] = v.Vec[i]
 		}
 		return nil
 	case *cltypes.Pointer:
@@ -131,19 +116,19 @@ func storeCell(c *Cell, v *Value, unshared bool) error {
 		if v.Agg == nil || !v.T.Equal(c.Typ) {
 			return fmt.Errorf("exec: cannot store %s into %s", v.T, c.Typ)
 		}
-		return copyCell(c, v.Agg, unshared)
+		return copyCell(c, v.Agg)
 	}
 	return fmt.Errorf("exec: cannot store into cell of type %s", c.Typ)
 }
 
 // copyCell deep-copies src into dst (same type).
-func copyCell(dst, src *Cell, unshared bool) error {
+func copyCell(dst, src *Cell) error {
 	switch t := dst.Typ.(type) {
 	case *cltypes.Scalar:
-		dst.storeScalar(src.loadScalar(unshared), unshared)
+		dst.Val = src.Val
 	case *cltypes.Vector:
 		for i := 0; i < t.Len; i++ {
-			dst.storeVecElem(i, src.loadVecElem(i, unshared), unshared)
+			dst.Vec[i] = src.Vec[i]
 		}
 	case *cltypes.Pointer:
 		dst.Ptr = src.Ptr
@@ -153,13 +138,13 @@ func copyCell(dst, src *Cell, unshared bool) error {
 			return nil
 		}
 		for i := range dst.Kids {
-			if err := copyCell(dst.Kids[i], src.Kids[i], unshared); err != nil {
+			if err := copyCell(dst.Kids[i], src.Kids[i]); err != nil {
 				return err
 			}
 		}
 	case *cltypes.Array:
 		for i := range dst.Kids {
-			if err := copyCell(dst.Kids[i], src.Kids[i], unshared); err != nil {
+			if err := copyCell(dst.Kids[i], src.Kids[i]); err != nil {
 				return err
 			}
 		}
@@ -170,23 +155,20 @@ func copyCell(dst, src *Cell, unshared bool) error {
 }
 
 // lval is an assignable location: a direct cell, an element of a flat
-// scalar buffer, a union field view, or a single vector component. It
-// carries the machine's unshared flag so that loads and stores through it
-// use the right memory discipline.
+// scalar buffer, a union field view, or a single vector component.
 type lval struct {
-	c        *Cell        // direct cell, or the vector cell / union cell
-	flat     *Buffer      // flat scalar buffer (c is nil); wIdx is the slot
-	wIdx     int          // element index within flat.Words
-	uField   cltypes.Type // union field view type (c is the union cell)
-	vecIdx   int          // >=0: component of the vector in c
-	unshared bool         // single-goroutine launch: plain accesses suffice
+	c      *Cell        // direct cell, or the vector cell / union cell
+	flat   *Buffer      // flat scalar buffer (c is nil); wIdx is the slot
+	wIdx   int          // element index within flat.Words
+	uField cltypes.Type // union field view type (c is the union cell)
+	vecIdx int          // >=0: component of the vector in c
 }
 
-func directLV(c *Cell, unshared bool) lval { return lval{c: c, vecIdx: -1, unshared: unshared} }
+func directLV(c *Cell) lval { return lval{c: c, vecIdx: -1} }
 
 // wordLV views element idx of a flat scalar buffer's backing store.
-func wordLV(b *Buffer, idx int, unshared bool) lval {
-	return lval{flat: b, wIdx: idx, vecIdx: -1, unshared: unshared}
+func wordLV(b *Buffer, idx int) lval {
+	return lval{flat: b, wIdx: idx, vecIdx: -1}
 }
 
 // wordAddr returns the address of the flat slot, the race checker's
@@ -200,7 +182,7 @@ func (l lval) wordAddr() *uint64 {
 
 func (l lval) load(out *Value) error {
 	if l.flat != nil {
-		*out = Value{T: l.flat.wordT, Scalar: loadWord(&l.flat.Words[l.wIdx], l.unshared)}
+		*out = Value{T: l.flat.wordT, Scalar: l.flat.Words[l.wIdx]}
 		return nil
 	}
 	if l.uField != nil {
@@ -208,20 +190,20 @@ func (l lval) load(out *Value) error {
 		if err := decodeInto(cp, l.c.Bytes); err != nil {
 			return err
 		}
-		return loadCell(cp, l.unshared, out)
+		return loadCell(cp, out)
 	}
 	if l.vecIdx >= 0 {
 		vt := l.c.Typ.(*cltypes.Vector)
-		*out = Value{T: vt.Elem, Scalar: l.c.loadVecElem(l.vecIdx, l.unshared)}
+		*out = Value{T: vt.Elem, Scalar: l.c.Vec[l.vecIdx]}
 		return nil
 	}
-	return loadCell(l.c, l.unshared, out)
+	return loadCell(l.c, out)
 }
 
 func (l lval) store(v *Value) error {
 	if l.flat != nil {
 		if vs, ok := v.T.(*cltypes.Scalar); ok {
-			storeWord(&l.flat.Words[l.wIdx], cltypes.Convert(v.Scalar, vs, l.flat.wordT), l.unshared)
+			l.flat.Words[l.wIdx] = cltypes.Convert(v.Scalar, vs, l.flat.wordT)
 			return nil
 		}
 		return fmt.Errorf("exec: cannot store %s into %s", v.T, l.flat.wordT)
@@ -240,12 +222,12 @@ func (l lval) store(v *Value) error {
 	if l.vecIdx >= 0 {
 		vt := l.c.Typ.(*cltypes.Vector)
 		if vs, ok := v.T.(*cltypes.Scalar); ok {
-			l.c.storeVecElem(l.vecIdx, cltypes.Convert(v.Scalar, vs, vt.Elem), l.unshared)
+			l.c.Vec[l.vecIdx] = cltypes.Convert(v.Scalar, vs, vt.Elem)
 			return nil
 		}
 		return fmt.Errorf("exec: cannot store %s into vector component", v.T)
 	}
-	return storeCell(l.c, v, l.unshared)
+	return storeCell(l.c, v)
 }
 
 // typ returns the type of the location.

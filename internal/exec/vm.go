@@ -198,14 +198,12 @@ func auxType(a any) cltypes.Type {
 }
 
 // vmLoop is the dispatch loop. Cost accounting matches the tree walker's
-// step() calls one for one (see the code package); the abort poll keeps
-// the same fuel-derived cadence.
+// step() calls one for one (see the code package).
 func (t *thread) vmLoop(vm *vmState) error {
 	fr := &vm.frames[len(vm.frames)-1]
 	ins := fr.fn.Code
 	regs := vm.regs[fr.regBase:]
 	lvs := vm.lvs[fr.lvBase:]
-	unshared := t.m.unshared
 	checkRaces := t.m.opts.CheckRaces
 	// cov is nil for coverage-off launches: the only cost the hooks add
 	// then is a nil check inside the two branch-taken cases.
@@ -218,12 +216,6 @@ func (t *thread) vmLoop(vm *vmState) error {
 			t.fuel -= int64(in.Cost)
 			if t.fuel <= 0 {
 				return &TimeoutError{Where: "kernel execution"}
-			}
-			if t.fuel&255 == 0 && t.m.dom.dead.Load() {
-				if err := t.m.dom.err; err != nil {
-					return err
-				}
-				return errAborted
 			}
 		}
 		switch in.Op {
@@ -348,9 +340,9 @@ func (t *thread) vmLoop(vm *vmState) error {
 					return err
 				}
 			}
-			if sc, ok := c.Typ.(*cltypes.Scalar); ok && (unshared || !c.Shared) {
+			if sc, ok := c.Typ.(*cltypes.Scalar); ok {
 				regs[in.Dst] = Value{T: sc, Scalar: c.Val}
-			} else if err := loadCell(c, unshared, &regs[in.Dst]); err != nil {
+			} else if err := loadCell(c, &regs[in.Dst]); err != nil {
 				return err
 			}
 
@@ -582,7 +574,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 		case code.OpBindArg:
 			p := &vm.pending[len(vm.pending)-1]
 			c := t.newPrivCell(in.Aux.(cltypes.Type))
-			if err := storeCell(c, &regs[in.A], unshared); err != nil {
+			if err := storeCell(c, &regs[in.A]); err != nil {
 				return err
 			}
 			p.slots[in.B] = c
@@ -608,10 +600,10 @@ func (t *thread) vmLoop(vm *vmState) error {
 			continue
 
 		case code.OpLVSlot:
-			lvs[in.Dst] = directLV(fr.slots[in.A], unshared)
+			lvs[in.Dst] = directLV(fr.slots[in.A])
 
 		case code.OpLVGlobal:
-			lvs[in.Dst] = directLV(t.m.globalCells[in.A], unshared)
+			lvs[in.Dst] = directLV(t.m.globalCells[in.A])
 
 		case code.OpLVDeref:
 			lv, err := t.ptrLV(regs[in.A].Ptr, "null or dangling pointer dereference")
@@ -647,7 +639,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			if idx < 0 || idx >= len(blv.c.Kids) {
 				return &CrashError{Msg: fmt.Sprintf("array index %d out of bounds [0,%d)", idx, len(blv.c.Kids))}
 			}
-			lvs[in.Dst] = directLV(blv.c.Kids[idx], unshared)
+			lvs[in.Dst] = directLV(blv.c.Kids[idx])
 
 		case code.OpLVArrow, code.OpLVMember:
 			var base *Cell
@@ -679,9 +671,9 @@ func (t *thread) vmLoop(vm *vmState) error {
 				return fmt.Errorf("exec: no field %q in %s", mi.Name, st)
 			}
 			if st.IsUnion {
-				lvs[in.Dst] = lval{c: base, uField: st.Fields[i].Type, vecIdx: -1, unshared: unshared}
+				lvs[in.Dst] = lval{c: base, uField: st.Fields[i].Type, vecIdx: -1}
 			} else {
-				lvs[in.Dst] = directLV(base.Kids[i], unshared)
+				lvs[in.Dst] = directLV(base.Kids[i])
 			}
 
 		case code.OpLVSwizzle:
@@ -689,7 +681,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			if blv.uField != nil || blv.vecIdx >= 0 || blv.flat != nil {
 				return fmt.Errorf("exec: cannot swizzle a view lvalue")
 			}
-			lvs[in.Dst] = lval{c: blv.c, vecIdx: int(in.B), unshared: unshared}
+			lvs[in.Dst] = lval{c: blv.c, vecIdx: int(in.B)}
 
 		case code.OpLVLoad:
 			lv := lvs[in.A]
@@ -711,20 +703,18 @@ func (t *thread) vmLoop(vm *vmState) error {
 			fr.slots[in.A] = t.newPrivCell(in.Aux.(cltypes.Type))
 
 		case code.OpStoreDecl:
-			if err := storeCell(fr.slots[in.A], &regs[in.B], unshared); err != nil {
+			if err := storeCell(fr.slots[in.A], &regs[in.B]); err != nil {
 				return err
 			}
 
 		case code.OpBindLocal:
 			d := in.Aux.(*ast.VarDecl)
 			g := t.group
-			g.mu.Lock()
 			c, ok := g.local[d]
 			if !ok {
 				c = NewCell(d.Type, cltypes.Local)
 				g.local[d] = c
 			}
-			g.mu.Unlock()
 			fr.slots[in.A] = c
 
 		case code.OpNewAgg:
@@ -732,7 +722,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			regs[in.Dst] = Value{T: typ, Agg: t.newPrivCell(typ)}
 
 		case code.OpInitField:
-			if err := storeCell(regs[in.A].Agg.Kids[in.Dst], &regs[in.B], unshared); err != nil {
+			if err := storeCell(regs[in.A].Agg.Kids[in.Dst], &regs[in.B]); err != nil {
 				return err
 			}
 
@@ -798,7 +788,6 @@ func (t *thread) vmReturn(vm *vmState, fr **vmFrame, ins *[]code.Instr, regs *[]
 // evaluation, a race report, a null pointer, an unresolvable field, a
 // non-scalar destination — silently abandons the store.
 func (t *thread) vmDeadLoopDefect(le *code.LoopExit, fr *vmFrame) {
-	unshared := t.m.unshared
 	var c *Cell
 	if le.Slot >= 0 {
 		c = fr.slots[le.Slot]
@@ -838,12 +827,12 @@ func (t *thread) vmDeadLoopDefect(le *code.LoopExit, fr *vmFrame) {
 			return
 		}
 		if st.IsUnion {
-			lv = lval{c: base, uField: st.Fields[i].Type, vecIdx: -1, unshared: unshared}
+			lv = lval{c: base, uField: st.Fields[i].Type, vecIdx: -1}
 		} else {
-			lv = directLV(base.Kids[i], unshared)
+			lv = directLV(base.Kids[i])
 		}
 	} else {
-		lv = directLV(c, unshared)
+		lv = directLV(c)
 	}
 	if s, ok := lv.typ().(*cltypes.Scalar); ok {
 		one := scalarValue(1, s)
@@ -980,32 +969,15 @@ func (t *thread) vmAtomic(in *code.Instr, regs []Value) error {
 			return err
 		}
 	}
-	unshared := t.m.unshared
-	if !unshared {
-		t.m.atomicMu.Lock()
+	if word == nil {
+		word = &target.Val
 	}
-	var old uint64
-	if word != nil {
-		old = loadWord(word, unshared)
-	} else {
-		old = target.loadScalar(unshared)
-	}
-	next, ok := atomicNext(name, old, operand, cmp, st)
+	next, ok := atomicNext(name, *word, operand, cmp, st)
 	if !ok {
-		if !unshared {
-			t.m.atomicMu.Unlock()
-		}
 		return fmt.Errorf("exec: unknown atomic %s", name)
 	}
-	if word != nil {
-		storeWord(word, next, unshared)
-	} else {
-		target.storeScalar(next, unshared)
-	}
-	if !unshared {
-		t.m.atomicMu.Unlock()
-	}
-	regs[in.Dst] = scalarValue(old, st)
+	regs[in.Dst] = scalarValue(*word, st)
+	*word = next
 	return nil
 }
 
