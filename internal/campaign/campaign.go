@@ -106,8 +106,10 @@ type Matrix struct {
 	Sources []string
 	ND      exec.NDRange
 	// Buffers builds a fresh argument set for the given source index.
-	// Campaigns whose variants share one argument shape (Tables 1/4/5)
-	// ignore the index.
+	// Every call for one index must build identical arguments: the units
+	// of a source share executions across defect models (see
+	// device.Share). Campaigns whose variants share one argument shape
+	// (Tables 1/4/5) ignore the index.
 	Buffers  func(src int) (exec.Args, *exec.Buffer)
 	BaseFuel int64
 	Units    []Unit
@@ -163,8 +165,9 @@ var Default = &Engine{Front: device.DefaultFrontCache, Results: NewResultCache(8
 
 // Counters reports the engine's cumulative throughput counters: cases
 // (matrices or single launches) started and representative launches
-// actually executed (model-dedup followers and result-cache hits are
-// not re-executed).
+// handed to the device that it did not serve from a shared execution
+// (model-dedup followers, result-cache hits and launches served by
+// another model's execution in their matrix are not re-executed).
 func (e *Engine) Counters() (cases, launches int64) {
 	return e.cases.Load(), e.launches.Load()
 }
@@ -205,7 +208,7 @@ type LaunchOptions struct {
 func (e *Engine) RunCase(cfg *device.Config, optimize bool, c Case, o LaunchOptions) UnitResult {
 	e.cases.Add(1)
 	fe := e.frontEnd(c.Src)
-	return e.runUnit(cfg, optimize, fe, c.ND, func() (exec.Args, *exec.Buffer) { return c.Buffers() }, o)
+	return e.runUnit(cfg, optimize, fe, c.ND, func() (exec.Args, *exec.Buffer) { return c.Buffers() }, nil, o)
 }
 
 // FrontEnd returns the (memoized, when the engine has a front cache)
@@ -223,8 +226,9 @@ func (e *Engine) frontEnd(src string) *device.FrontEnd {
 }
 
 // runUnit is the memoized front-end → back-end → execute chain behind
-// every campaign launch.
-func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exec.NDRange, buffers func() (exec.Args, *exec.Buffer), o LaunchOptions) UnitResult {
+// every campaign launch. share, when non-nil, is the record of
+// executions of buffers' argument set.
+func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exec.NDRange, buffers func() (exec.Args, *exec.Buffer), share *device.Share, o LaunchOptions) UnitResult {
 	key := Key(cfg, optimize)
 	if o.Ctx != nil && o.Ctx.Err() != nil {
 		return UnitResult{Key: key, Outcome: device.Canceled, Msg: "launch canceled"}
@@ -273,7 +277,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 	if cover != nil {
 		launchCov = new(exec.CoverMap)
 	}
-	e.launches.Add(1)
 	rr := cr.Kernel.Run(nd, args, result, device.RunOptions{
 		BaseFuel:   o.BaseFuel,
 		CheckRaces: o.CheckRaces,
@@ -281,7 +284,11 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		Ctx:        o.Ctx,
 		Cover:      launchCov,
 		Pool:       e.Pool,
+		Share:      share,
 	})
+	if !rr.Shared {
+		e.launches.Add(1)
+	}
 	r := UnitResult{Key: key, Outcome: rr.Outcome, Msg: rr.Msg, Output: rr.Output}
 	var delta coverDelta
 	if launchCov != nil {
@@ -301,8 +308,9 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 // RunMatrix executes one case's unit matrix: units sharing a source text
 // and a defect model run once (the representative), with the
 // deterministic result copied to the followers; representatives may be
-// served by the result cache. width is the number of matrices the caller
-// itself runs concurrently (1 for a single differential test);
+// served by the result cache, or by another model's execution of the
+// same source index (device.Share). width is the number of matrices the
+// caller itself runs concurrently (1 for a single differential test);
 // representatives fan out over the cores the caller leaves idle, so the
 // two levels never oversubscribe the machine. Results are returned in
 // unit order.
@@ -324,6 +332,7 @@ func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 	if width < 1 {
 		width = 1
 	}
+	shares := make([]device.Share, len(m.Sources))
 	repWorkers := stageWorkers(width, len(reps))
 	// The representative stage itself always runs to completion — every
 	// unit gets a result, so follower replication below stays total — but
@@ -335,6 +344,7 @@ func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 		src := u.Src
 		results[i] = e.runUnit(u.Cfg, u.Opt, fes[src], m.ND,
 			func() (exec.Args, *exec.Buffer) { return m.Buffers(src) },
+			&shares[src],
 			LaunchOptions{BaseFuel: m.BaseFuel, Ctx: m.Ctx})
 		return struct{}{}
 	}, func(int, struct{}) {})

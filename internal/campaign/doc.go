@@ -26,6 +26,14 @@
 // Intel CPU no-opt model, Oclgrind's ignored optimization flag, and EMI
 // prunings that collapse to identical printed source all collapse here.
 //
+// Representatives of different models still often repeat one
+// execution, so the representatives of one source index share a
+// device.Share, which serves a launch that would repeat a recorded
+// execution exactly (hence the Matrix.Buffers contract). Model dedup
+// stays in front of it: a follower costs one result copy, where a
+// representative builds and digests its arguments, looks up its compiled
+// kernel and probes the result cache.
+//
 // # Cross-base result cache
 //
 // The third cache level after device.FrontCache (parses) and

@@ -174,6 +174,9 @@ type RunResult struct {
 	// Output is the contents of the result buffer for OK outcomes (the
 	// comma-separated list CLsmith prints, as raw values).
 	Output []uint64
+	// Shared reports that RunOptions.Share served the verdict: the kernel
+	// did not execute.
+	Shared bool
 }
 
 // RunOptions tunes kernel execution.
@@ -202,11 +205,15 @@ type RunOptions struct {
 	// working set through; nil uses the executor's process-wide pool.
 	// Pooling is observation-free.
 	Pool *exec.LaunchPool
+	// Share, when non-nil, is the record of executions of this run's
+	// argument set, which serves or records the launch. Observation-free.
+	Share *Share
 }
 
 // Run executes the kernel over the NDRange. result names the output buffer
 // whose contents are reported (and corrupted by the residual-miscompilation
-// gates); it must also appear in args.
+// gates); it must also appear in args. ro.Share may serve the execution
+// between the crash gates and the wrong-code gates.
 func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro RunOptions) RunResult {
 	lvl := k.level
 	// Launch-time crash gates: the unpredictable machine/driver crashes
@@ -248,7 +255,28 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	if engine != exec.EngineTree {
 		opts.Code = k.Code
 	}
-	err := exec.Run(k.Prog, nd, args, opts)
+	rr := ro.Share.run(k.Prog, opts, func(opts exec.Options) RunResult {
+		return execute(k.Prog, nd, args, result, opts)
+	})
+	if rr.Outcome != OK {
+		return rr
+	}
+	out := rr.Output
+	// Residual miscompilation gates: corrupt the first element, modeling
+	// a wrong-code defect not covered by a specific model.
+	if bugs.Gate(k.Hash, saltWrong, lvl.WrongDiv) && len(out) > 0 {
+		out[0] ^= 0x1
+	}
+	if k.Info.UsesVector && bugs.Gate(k.Hash, saltVecWrong, lvl.VecWrongDiv) && len(out) > 0 {
+		out[0] ^= 0x2
+	}
+	return rr
+}
+
+// execute launches prog and classifies the executor's verdict; an OK
+// result carries the contents of the result buffer.
+func execute(prog *ast.Program, nd exec.NDRange, args exec.Args, result *exec.Buffer, opts exec.Options) RunResult {
+	err := exec.Run(prog, nd, args, opts)
 	switch err.(type) {
 	case nil:
 	case *exec.TimeoutError:
@@ -264,16 +292,7 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	default:
 		return RunResult{Outcome: Crash, Msg: err.Error()}
 	}
-	out := result.Scalars()
-	// Residual miscompilation gates: corrupt the first element, modeling
-	// a wrong-code defect not covered by a specific model.
-	if bugs.Gate(k.Hash, saltWrong, lvl.WrongDiv) && len(out) > 0 {
-		out[0] ^= 0x1
-	}
-	if k.Info.UsesVector && bugs.Gate(k.Hash, saltVecWrong, lvl.VecWrongDiv) && len(out) > 0 {
-		out[0] ^= 0x2
-	}
-	return RunResult{Outcome: OK, Output: out}
+	return RunResult{Outcome: OK, Output: result.Scalars()}
 }
 
 // GatesClean reports whether none of the configuration's hash-gated defect

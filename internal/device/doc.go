@@ -46,8 +46,9 @@
 // the reference path the determinism tests compare against (the caches
 // must be byte-for-byte invisible). The result is a runnable Kernel
 // whose Run method applies the launch-time defect gates (driver crashes,
-// fuel scaling, residual wrong-code corruption) around exec.Run. A
-// third cache level sits above this package: internal/campaign's
+// fuel scaling, residual wrong-code corruption) around exec.Run, which a
+// Share (RunOptions.Share) may serve from a recorded execution. A third
+// cache level sits above this package: internal/campaign's
 // ResultCache memoizes finished launch results per (source hash, defect
 // model, argument digest), so exact repeats of a launch — across cases,
 // campaigns, and the acceptance filters — skip execution entirely.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clfuzz/internal/bugs"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/parser"
@@ -55,17 +56,30 @@ func armPanicHook(t *testing.T) {
 	t.Cleanup(func() { exec.SetFaultHook(nil) })
 }
 
+// requirePanicStats checks that a launch cut short by a panic claims to
+// have tested every defect bit and used its whole budget: what it would
+// have observed is unknown, so no other launch may be served its verdict.
+func requirePanicStats(t *testing.T, st exec.Stats, fuel int64) {
+	t.Helper()
+	if st.Tested != ^bugs.Set(0) || st.MaxThreadSteps != fuel {
+		t.Fatalf("panicked launch reported tested %#x and %d steps, want every bit and %d", st.Tested, st.MaxThreadSteps, fuel)
+	}
+}
+
 // TestPanicContainedOnSequentialPath: an evaluator panic on the
 // goroutine-free fast path surfaces as a *CrashError verdict, not a
 // process abort.
 func TestPanicContainedOnSequentialPath(t *testing.T) {
 	armPanicHook(t)
 	_, opts, runIt := compileTest(t, plainSrc)
+	var st exec.Stats
+	opts.Fuel, opts.Stats = 1000, &st
 	err := runIt(opts)
 	var crash *exec.CrashError
 	if !errors.As(err, &crash) {
 		t.Fatalf("err = %v, want *CrashError", err)
 	}
+	requirePanicStats(t, st, opts.Fuel)
 }
 
 // TestPanicContainedOnBarrierPath: a panic on one of a group's thread
@@ -78,11 +92,14 @@ func TestPanicContainedOnBarrierPath(t *testing.T) {
 	if opts.NoBarrier {
 		t.Fatal("test kernel unexpectedly barrier-free")
 	}
+	var st exec.Stats
+	opts.Fuel, opts.Stats = 1000, &st
 	err := runIt(opts)
 	var crash *exec.CrashError
 	if !errors.As(err, &crash) {
 		t.Fatalf("err = %v, want *CrashError", err)
 	}
+	requirePanicStats(t, st, opts.Fuel)
 }
 
 // TestPanicContainmentCoexistsWithImmutableAssert: with the immutable-

@@ -74,7 +74,15 @@
 // TestThreadedMatchesSwitch and the FuzzThreadedMatchesSwitch target pin
 // the two schedules against each other on barrier-free kernels (withheld
 // NoBarrier puts a launch on the lockstep path): same verdict, buffers,
-// fuel high-water mark and coverage, for failing launches too.
+// fuel high-water mark, tested defect bits and coverage, for failing
+// launches too.
+//
+// # What a launch reports
+//
+// Besides its verdict and buffers, a launch reports in Stats its fuel
+// high-water mark and the defect bits it tested; every read of
+// Options.Defects goes through one Machine method that records the bit.
+// The Stats doc says what the two bound, and device.Share relies on it.
 //
 // Parallelism lives above the executor: internal/campaign runs many
 // launches at once, so one launch never needs more than one core.

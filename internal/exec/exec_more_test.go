@@ -1,10 +1,13 @@
 package exec_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"clfuzz/internal/bugs"
 	"clfuzz/internal/cltypes"
+	"clfuzz/internal/code"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/parser"
 	"clfuzz/internal/sema"
@@ -270,31 +273,65 @@ kernel void k(global ulong *out) {
 	}
 }
 
-// TestFuelStats: the executor reports the per-thread step high-water mark.
+// TestFuelStats: the executor reports the step high-water mark, and it
+// is exact: a launch given exactly that many steps per thread times out,
+// and one given a single step more completes. A program-scope
+// initializer runs with the launch's full budget and its timeout is the
+// launch's verdict, so its steps count too; the second kernel's
+// initializer charges at least one step per element, more than its body.
 func TestFuelStats(t *testing.T) {
-	src := `
+	elems := make([]string, 64)
+	for i := range elems {
+		elems[i] = fmt.Sprint(i)
+	}
+	for _, k := range []struct {
+		name, src string
+		min       int64 // plausibility floor for the high-water mark
+	}{
+		{"loop", `
 kernel void k(global ulong *out) {
     int s = 0;
     for (int i = 0; i < 50; i++) { s += i; }
     out[get_linear_global_id()] = (ulong)(uint)s;
 }
-`
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, _, err = sema.Check(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := exec.NewBuffer(cltypes.TULong, 2)
-	st := &exec.Stats{}
-	err = exec.Run(prog, nd1(2, 2), exec.Args{"out": {Buf: out}}, exec.Options{Stats: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MaxThreadSteps < 100 || st.MaxThreadSteps > 100000 {
-		t.Errorf("implausible step count %d", st.MaxThreadSteps)
+`, 100},
+		{"initializer", "constant ulong tab[64] = {" + strings.Join(elems, ", ") + "};\n" +
+			"kernel void k(global ulong *out) { out[get_linear_global_id()] = tab[5]; }\n", 64},
+	} {
+		prog, err := parser.Parse(k.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, err = sema.Check(prog, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowered, err := code.Lower(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cp := range []*code.Program{nil, lowered} {
+			run := func(fuel int64) (exec.Stats, error) {
+				var st exec.Stats
+				out := exec.NewBuffer(cltypes.TULong, 2)
+				err := exec.Run(prog, nd1(2, 2), exec.Args{"out": {Buf: out}}, exec.Options{Fuel: fuel, Code: cp, Stats: &st})
+				return st, err
+			}
+			label := fmt.Sprintf("%s vm=%v", k.name, cp != nil)
+			st, err := run(0)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if st.MaxThreadSteps < k.min || st.MaxThreadSteps > 100000 {
+				t.Errorf("%s: implausible step count %d", label, st.MaxThreadSteps)
+			}
+			if _, err := run(st.MaxThreadSteps + 1); err != nil {
+				t.Errorf("%s: budget %d (high-water mark + 1): %v", label, st.MaxThreadSteps+1, err)
+			}
+			if _, err := run(st.MaxThreadSteps); err == nil {
+				t.Errorf("%s: budget %d (the high-water mark) did not time out", label, st.MaxThreadSteps)
+			}
+		}
 	}
 }
 

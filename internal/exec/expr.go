@@ -326,7 +326,7 @@ func (t *thread) evalBinary(ex *ast.Binary, out *Value) error {
 		}
 		// Figure 2(f): Oclgrind mishandled the comma operator; the model
 		// makes the pair evaluate to zero instead of the right operand.
-		if t.m.opts.Defects.Has(bugs.WCComma) {
+		if t.m.defect(bugs.WCComma) {
 			if rt, ok := out.T.(*cltypes.Scalar); ok {
 				*out = scalarValue(0, rt)
 			}
@@ -634,23 +634,22 @@ func (t *thread) storeDefect(op ast.AssignOp, derefParam, arrowParam bool) (bool
 	if !derefParam && !arrowParam {
 		return false, nil
 	}
-	d := t.m.opts.Defects
 	// Figure 1(d), config 17: stores through a pointer-to-struct parameter
 	// are lost once a barrier has executed.
-	if d.Has(bugs.WCStructPtrWriteBarrier) && arrowParam {
+	if t.m.defect(bugs.WCStructPtrWriteBarrier) && arrowParam {
 		return true, nil
 	}
 	if t.m.opts.HasFwdDecl {
 		// Figure 2(c), configs 12-/13-: non-leader threads lose stores
 		// through pointer parameters after a barrier.
-		if d.Has(bugs.WCBarrierFwdDecl) && t.lidLinear() != 0 {
+		if t.m.defect(bugs.WCBarrierFwdDecl) && t.lidLinear() != 0 {
 			if derefParam || t.m.hashGate(0xf2c, 8) {
 				return true, nil
 			}
 		}
 		// Figure 2(c), configs 14-/15-: the same trigger crashes with a
 		// segmentation fault.
-		if d.Has(bugs.CrashBarrierFwdDecl) {
+		if t.m.defect(bugs.CrashBarrierFwdDecl) {
 			if derefParam || t.m.hashGate(0xf2d, 2) {
 				return false, &CrashError{Msg: "segmentation fault in barrier-split store"}
 			}
@@ -662,10 +661,9 @@ func (t *thread) storeDefect(op ast.AssignOp, derefParam, arrowParam bool) (bool
 // corruptStructCopy applies the struct-assignment defect models to a just-
 // stored struct destination.
 func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
-	d := t.m.opts.Defects
 	// Figure 1(b), configs 10-/11-: with Nx == 1, a struct copy loses
 	// array element 7.
-	if d.Has(bugs.WCStructCopyNx1) && t.m.nd.Global[0] == 1 {
+	if t.m.defect(bugs.WCStructCopyNx1) && t.m.nd.Global[0] == 1 {
 		for i, f := range st.Fields {
 			if at, ok := f.Type.(*cltypes.Array); ok && at.Len > 7 {
 				if _, ok := at.Elem.(*cltypes.Scalar); ok {
@@ -676,7 +674,7 @@ func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
 	}
 	// §6 struct problems (configs 7/8 and older drivers): hash-gated loss
 	// of the last field of structs containing nested aggregates.
-	if d.Has(bugs.WCStructDeep) && t.m.hashGate(0x57de, 3) {
+	if t.m.defect(bugs.WCStructDeep) && t.m.hashGate(0x57de, 3) {
 		hasAgg := false
 		for _, f := range st.Fields {
 			switch f.Type.(type) {

@@ -63,8 +63,9 @@ type Args map[string]Arg
 
 // Options configures a kernel execution.
 type Options struct {
-	// Defects is the executor-level slice of the configuration's injected
-	// defect set.
+	// Defects is the configuration level's whole injected defect set;
+	// the executor reads only its executor-level bits, and reports which
+	// ones a launch tested in Stats.Tested.
 	Defects bugs.Set
 	// Hash is the kernel source hash, the seed for hash-gated defects.
 	Hash uint64
@@ -106,13 +107,33 @@ type Options struct {
 	Pool *LaunchPool
 }
 
-// Stats reports execution cost measurements, used to calibrate the fuel
-// model against the paper's timeout rates.
+// Stats reports what a launch observed: its cost, which calibrates the
+// fuel model against the paper's timeout rates, and the executor defect
+// bits it tested. Run fills it on every return path; read it after Run
+// returns.
+//
+// The two fields bound what the launch's outcome depends on. Another
+// launch of the same program on the same arguments takes the same branch
+// at every defect test and fuel check — and so reports the same verdict
+// and buffers — when its defect set agrees with this one's on every
+// Tested bit and its budget either equals this one's or, like this one's,
+// exceeds MaxThreadSteps. device.Share serves launches on that rule.
 type Stats struct {
-	// MaxThreadSteps is the largest per-thread evaluation step count over
-	// the threads that ran; threads retired by an earlier failure run no
-	// steps. Read it after Run returns.
+	// MaxThreadSteps is the largest evaluation step count over the
+	// work-items that ran and the program-scope initializers, each of
+	// which runs with the launch's full budget. Work-items retired by an
+	// earlier failure run no steps.
 	MaxThreadSteps int64
+	// Tested is the set of Options.Defects bits the launch read, armed
+	// or not. A launch that panicked reports every bit as tested and its
+	// whole budget as used: what it would have observed is unknown.
+	Tested bugs.Set
+}
+
+// panicStats is what a launch cut short by a panic reports: the
+// panicking work-item's steps and defect tests were never folded in.
+func panicStats(fuel int64) Stats {
+	return Stats{MaxThreadSteps: fuel, Tested: ^bugs.Set(0)}
 }
 
 // TimeoutError reports fuel exhaustion.
@@ -240,6 +261,9 @@ type Machine struct {
 	// thread that receives the baton after a failure to retire.
 	err error
 
+	// stats accumulates what Run reports in Options.Stats.
+	stats Stats
+
 	interGroup map[memKey]*accessRec // global-memory access record, per kernel run
 
 	// state is the pooled container this Machine is embedded in; it owns
@@ -323,18 +347,23 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	// immutability defer so the assertion still panics outward; lockstep
 	// thread goroutines carry their own recover.
 	// The same defer returns the pooled state on a normal exit; a panic
-	// may leave the state half-unwound, so it is dropped instead.
+	// may leave the state half-unwound, so it is dropped instead. It also
+	// fills Options.Stats, on every return path.
 	var (
 		pool  *LaunchPool
 		state *launchState
 	)
 	defer func() {
+		var st Stats
 		if r := recover(); r != nil {
 			err = &CrashError{Msg: fmt.Sprintf("evaluator panic: %v", r)}
-			return
-		}
-		if state != nil {
+			st = panicStats(opts.Fuel)
+		} else if state != nil {
+			st = state.m.stats
 			pool.put(state)
+		}
+		if opts.Stats != nil {
+			*opts.Stats = st
 		}
 	}()
 	if err := nd.Validate(); err != nil {
@@ -389,7 +418,9 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 			th := &state.initThread
 			th.resetState(m, nil, [3]int{}, [3]int{}, opts.Fuel)
 			var v Value
-			if err := th.evalInit(g.Type, g.Init, &v); err != nil {
+			err := th.evalInit(g.Type, g.Init, &v)
+			m.noteSteps(th)
+			if err != nil {
 				return err
 			}
 			if err := storeCell(c, &v); err != nil {
@@ -433,15 +464,27 @@ func (m *Machine) fail(err error) {
 }
 
 // runThread runs one work-item and folds its step count into the
-// launch's Stats high-water mark.
+// launch's fuel high-water mark.
 func (m *Machine) runThread(th *thread) error {
 	err := th.run()
-	if st := m.opts.Stats; st != nil {
-		if used := m.opts.Fuel - th.fuel; used > st.MaxThreadSteps {
-			st.MaxThreadSteps = used
-		}
-	}
+	m.noteSteps(th)
 	return err
+}
+
+// noteSteps folds the steps a thread has charged against the launch's
+// budget into the fuel high-water mark.
+func (m *Machine) noteSteps(th *thread) {
+	if used := m.opts.Fuel - th.fuel; used > m.stats.MaxThreadSteps {
+		m.stats.MaxThreadSteps = used
+	}
+}
+
+// defect reports whether the launch's defect set arms bit b, and records
+// that the launch tested it. Every executor read of Options.Defects goes
+// through here, so Stats.Tested covers every bit the outcome depends on.
+func (m *Machine) defect(b bugs.Set) bool {
+	m.stats.Tested |= b
+	return m.opts.Defects.Has(b)
 }
 
 func (m *Machine) hashGate(salt, divisor uint64) bool {
@@ -510,6 +553,7 @@ func (m *Machine) runGroup(gs *groupState, gid [3]int) {
 					defer func() {
 						if r := recover(); r != nil {
 							err = &CrashError{Msg: fmt.Sprintf("evaluator panic: %v", r)}
+							m.stats = panicStats(m.opts.Fuel)
 						}
 						if err != nil {
 							// Record the verdict and ready the parked

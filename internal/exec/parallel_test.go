@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clfuzz/internal/ast"
+	"clfuzz/internal/bugs"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/code"
 	"clfuzz/internal/device"
@@ -262,14 +263,15 @@ kernel void k(global ulong *out, global uint *ctr) {
 }
 
 // threadedRun is one launch observed every way the executor can be
-// observed: buffer contents, run error, fuel high-water mark, the
-// coverage edge set and the defect-site hit counts.
+// observed: buffer contents, run error, fuel high-water mark, the defect
+// bits it tested, the coverage edge set and the defect-site hit counts.
 type threadedRun struct {
-	out   []uint64
-	err   error
-	steps int64
-	edges []uint32
-	sites [exec.CoverNumSites]uint64
+	out    []uint64
+	err    error
+	steps  int64
+	tested bugs.Set
+	edges  []uint32
+	sites  [exec.CoverNumSites]uint64
 }
 
 // launchObserved executes a checked program with every observation hook
@@ -285,7 +287,7 @@ func launchObserved(prog *ast.Program, info *sema.Info, nd exec.NDRange, buffers
 	opts.Stats = &st
 	opts.Cover = cov
 	runErr := exec.Run(prog, nd, args, opts)
-	return threadedRun{out: result.Scalars(), err: runErr, steps: st.MaxThreadSteps, edges: cov.Edges(), sites: cov.SiteHits()}
+	return threadedRun{out: result.Scalars(), err: runErr, steps: st.MaxThreadSteps, tested: st.Tested, edges: cov.Edges(), sites: cov.SiteHits()}
 }
 
 // outBuffer returns an argument factory for the test kernels' single
@@ -320,8 +322,8 @@ kernel void k(global ulong *out) {
 // goroutines (threaded) reports exactly what the sequential path — every
 // thread through the switch loop on the calling goroutine — reports: the
 // same error (including the fuel-exhaustion verdict), buffer contents,
-// Stats fuel high-water mark, coverage edge set and defect-site hit
-// counts. Failing launches are held to the same comparison: on either
+// Stats fuel high-water mark and tested defect bits, coverage edge set
+// and defect-site hit counts. Failing launches are held to the same comparison: on either
 // schedule, no thread runs after the first failure.
 func TestThreadedMatchesSwitch(t *testing.T) {
 	exec.SetDebugImmutable(true)
@@ -373,6 +375,9 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 	if got.steps != want.steps {
 		t.Fatalf("%s: threaded charged %d steps, sequential charged %d", label, got.steps, want.steps)
 	}
+	if got.tested != want.tested {
+		t.Fatalf("%s: threaded tested defect bits %#x, sequential %#x", label, got.tested, want.tested)
+	}
 	if len(got.edges) != len(want.edges) {
 		t.Fatalf("%s: threaded hit %d edges, sequential hit %d", label, len(got.edges), len(want.edges))
 	}
@@ -394,8 +399,8 @@ func requireSameRun(t *testing.T, label string, got, want threadedRun) {
 // through the switch loop on the calling goroutine, and threaded, on the
 // lockstep goroutine-per-thread schedule. The comparison is
 // TestThreadedMatchesSwitch's: the same verdict (including Timeout),
-// buffers, fuel high-water mark, coverage edge set and defect-site hits,
-// for failing launches too. Kernels are generated up to 64 threads so
+// buffers, fuel high-water mark, tested defect bits, coverage edge set
+// and defect-site hits, for failing launches too. Kernels are generated up to 64 threads so
 // NDRanges span several multi-thread work-groups.
 func FuzzThreadedMatchesSwitch(f *testing.F) {
 	f.Add(uint8(0), uint32(42), uint8(0), false)

@@ -221,6 +221,7 @@ func (st *launchState) reset() {
 	m.globalCells = m.globalCells[:0]
 	m.interGroup = nil
 	m.err = nil
+	m.stats = Stats{}
 	m.state = st
 }
 

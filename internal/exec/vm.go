@@ -277,7 +277,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 				if cov != nil {
 					cov.hitSite(CoverSiteDeadLoop)
 				}
-				if t.m.opts.Defects.Has(bugs.WCDeadLoopBarrier) && t.lidLinear() != 0 {
+				if t.m.defect(bugs.WCDeadLoopBarrier) && t.lidLinear() != 0 {
 					t.vmDeadLoopDefect(le, fr)
 				}
 			}
@@ -420,7 +420,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			}
 
 		case code.OpComma:
-			if t.m.opts.Defects.Has(bugs.WCComma) {
+			if t.m.defect(bugs.WCComma) {
 				if rt, ok := regs[in.Dst].T.(*cltypes.Scalar); ok {
 					regs[in.Dst] = scalarValue(0, rt)
 				}
@@ -738,14 +738,14 @@ func (t *thread) vmLoop(vm *vmState) error {
 			if err := encodeValue(c.Bytes, &fv, tt.Fields[0].Type); err != nil {
 				return err
 			}
-			if t.m.opts.Defects.Has(bugs.WCUnionInit) && unionHasSmallLeadStruct(tt) {
+			if t.m.defect(bugs.WCUnionInit) && unionHasSmallLeadStruct(tt) {
 				for i := 2; i < len(c.Bytes) && i < tt.Fields[0].Type.Size(); i++ {
 					c.Bytes[i] = 0xff
 				}
 			}
 
 		case code.OpInitStructDefect:
-			if t.m.opts.Defects.Has(bugs.WCStructCharFirst) {
+			if t.m.defect(bugs.WCStructCharFirst) {
 				c := regs[in.A].Agg
 				for _, fi := range charFirstLargerFields(c.Typ.(*cltypes.StructT)) {
 					c.Kids[fi].Val = 0
