@@ -31,7 +31,7 @@ func main() {
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	cacheStats := flag.Bool("cachestats", false,
-		"print compile-cache hit/miss counters (front-end parses, shared back-end kernels, bytecode lowering) and engine counters after the run")
+		"print compile-cache hit/miss counters (front-end parses, back-end compiles, bytecode lowering) and engine counters after the run")
 	cover := flag.Bool("cover", false,
 		"collect VM edge coverage and defect-site counters for the run and print them (outcome and outputs are unaffected; the CLFUZZ_ENGINE=tree reference collects none)")
 	flag.Parse()
@@ -71,7 +71,7 @@ func main() {
 		lo, lf := device.LowerStats()
 		vmRuns, treeRuns, instrs := exec.EngineCounters()
 		fmt.Fprintf(os.Stderr, "front cache:  %d hits, %d misses, %d entries\n", fh, fm, fs)
-		fmt.Fprintf(os.Stderr, "back cache:   %d hits, %d misses, %d entries\n", bh, bm, bs)
+		fmt.Fprintf(os.Stderr, "back cache:   %d hits, %d misses, %d folded programs\n", bh, bm, bs)
 		fmt.Fprintf(os.Stderr, "result cache: %d hits, %d misses, %d entries\n", rh, rm, rs)
 		skipNonFlat, skipRace, skipCover := campaign.Default.CacheSkips()
 		fmt.Fprintf(os.Stderr, "cache skips:  %d non-flat buffers, %d race-checked, %d coverage mismatches\n",

@@ -8,7 +8,7 @@
 //
 // The public surface of the repository is its commands (cmd/clsmith,
 // cmd/clrun, cmd/cldiff, cmd/clemi, cmd/cltables, cmd/clreduce,
-// cmd/clbench), its examples (examples/quickstart, examples/bughunt,
+// cmd/clfuzz), its examples (examples/quickstart, examples/bughunt,
 // examples/emibenchmark) and the benchmark harness in bench_test.go,
 // which regenerates every table and figure of the paper's evaluation.
 // README.md documents the commands; ARCHITECTURE.md walks the pipeline.

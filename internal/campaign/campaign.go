@@ -116,7 +116,7 @@ type Matrix struct {
 	// Ctx cancels the matrix cooperatively: representatives not yet
 	// launched when it fires report device.Canceled instead of executing.
 	// A record folded from a cancelled matrix is poisoned and must be
-	// dropped, which the shard driver does (see harness.RunShard). nil
+	// dropped, which the shard driver does (see harness.RunShardOpts). nil
 	// runs to completion.
 	Ctx context.Context
 }

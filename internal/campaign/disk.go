@@ -48,7 +48,6 @@ type diskEntry struct {
 	Outcome int      `json:"outcome"`
 	Msg     string   `json:"msg,omitempty"`
 	Output  []uint64 `json:"output,omitempty"`
-	Compile bool     `json:"compile,omitempty"`
 
 	CovEdges []uint32 `json:"covEdges,omitempty"`
 	CovSites []uint64 `json:"covSites,omitempty"`
@@ -122,7 +121,7 @@ func (rc *ResultCache) diskGet(k resultKey, src string) (UnitResult, coverDelta,
 		e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
 		return UnitResult{}, coverDelta{}, false
 	}
-	r := UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output, Compile: e.Compile}
+	r := UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output}
 	var cov coverDelta
 	cov.edges = e.CovEdges
 	if len(e.CovSites) == len(cov.sites) {
@@ -146,7 +145,6 @@ func (rc *ResultCache) diskPut(k resultKey, src string, r UnitResult, cov coverD
 		Outcome: int(r.Outcome),
 		Msg:     r.Msg,
 		Output:  r.Output,
-		Compile: r.Compile,
 	}
 	if k.cover {
 		e.CovEdges = cov.edges

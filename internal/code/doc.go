@@ -6,10 +6,10 @@
 //
 // Lowering sits between internal/opt and internal/exec, and Lower is the
 // whole pipeline: the VM runs its output as is. The device layer's
-// BackCache lowers each distinct folded/optimized program once
-// (alongside the checked kernel, under the same staged keys) and shares
-// the resulting code.Program with every configuration and concurrent
-// launch whose defect model compiles the source identically. Like the
+// BackCache lowers each distinct folded/optimized program once (in its
+// fold stage, next to the program it came from) and shares the
+// resulting code.Program with every configuration and concurrent launch
+// whose defect model compiles the source identically. Like the
 // AST it is derived from, a lowered program is immutable: Lower never
 // writes to the input tree, and the VM never writes to the bytecode.
 //

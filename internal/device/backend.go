@@ -29,29 +29,13 @@ const (
 	foldDefects = bugs.WCRotateConstFold | bugs.WCGroupIDExpr | bugs.WCSwizzleFold
 )
 
-// backKey identifies everything that can influence the back end's product:
-// the source (by hash, collision-checked against the stored source), the
-// level's armed defect set, the two compile-time hash-gate divisors, and
-// whether the optimizer effectively runs (the optimization flag after
-// NoOptimizer is applied). Two (configuration, level) pairs with equal
-// keys compile to byte-identical programs, so they share one immutable
-// back-end artifact.
-type backKey struct {
-	hash     uint64
-	defects  bugs.Set
-	bfDiv    uint64
-	slowDiv  uint64
-	optimize bool
-}
-
 // backEnd is the immutable product of one back-end compilation: the
 // outcome with its diagnostic, and for OK outcomes the checked, folded,
 // (possibly) optimized program plus its semantic summary. The program is
 // read-only — sema and opt build rather than mutate, and the executor
-// never writes to the AST — so one backEnd may be wrapped into Kernels by
-// any number of configurations and run concurrently.
+// never writes to the AST — so the stage memos hand the same program to
+// any number of configurations, which run it concurrently.
 type backEnd struct {
-	src     string
 	outcome Outcome
 	msg     string
 	prog    *ast.Program
@@ -123,97 +107,60 @@ func lowerProgram(prog *ast.Program) (*code.Program, error) {
 	return cp, nil
 }
 
-// BackCache is a bounded, concurrency-safe memo of back-end compilations
-// keyed by (source hash, defect set, gate divisors, effective optimize).
+// BackCache is a bounded, concurrency-safe memo of back-end compilations.
 // It is the second level of the compile cache: the FrontCache collapses
 // the 42 parses of a full Table 1 matrix to one, and the BackCache
-// collapses the 42 check+fold+optimize runs to one finished read-only
-// kernel per distinct defect model — the four identical NVIDIA levels,
-// the shared Intel CPU no-opt model and Oclgrind's ignored optimization
-// flag all map to one entry.
+// collapses the 42 check+fold+optimize runs to one per distinct input of
+// each compile stage. It holds two stage memos, keyed on what each phase
+// actually depends on: one sema product per (source, semaDefects) — in
+// practice one per source, since rejections are rare — and one
+// folded/optimized/lowered program per (source, foldDefects, effective
+// optimize). Defect models that differ only in executor-level or
+// compile-gate defects therefore share every expensive phase and receive
+// the same Prog, Info and Code objects — the four identical NVIDIA
+// levels, the shared Intel CPU no-opt model and Oclgrind's ignored
+// optimization flag among them — while the gates are re-evaluated per
+// compile. Programs for different fold inputs share all untouched
+// subtrees (the passes are copy-on-write).
 //
-// Internally the cache is staged along what each compile phase actually
-// depends on: one sema product per (source, semaDefects) — in practice
-// one per source, since rejections are rare — and one folded/optimized
-// program per (source, foldDefects, effective optimize). Defect models
-// that differ only in runtime gates therefore share every expensive
-// phase, and the finished artifacts for different models share all
-// untouched subtrees (the passes are copy-on-write).
-//
-// Eviction is FIFO over insertion order in every stage, like the
+// Eviction is FIFO over insertion order in both stages, like the
 // FrontCache: the memoized artifact for a key never varies, so campaign
 // outputs do not depend on hit/miss patterns.
 type BackCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[backKey]*backEnd
-	fifo    []backKey // insertion order, oldest first
 	checked map[checkedKey]*checkedEntry
-	ckFifo  []checkedKey
+	ckFifo  []checkedKey // insertion order, oldest first
 	progs   map[progKey]*progEntry
 	pgFifo  []progKey
-	hits    uint64
-	misses  uint64
+	calls   atomic.Uint64
+	misses  atomic.Uint64
 }
 
-// NewBackCache returns a cache bounded to capacity finished artifacts
-// (minimum 1). The internal stage memos hold at most capacity entries
-// each as well; they only ever hold fewer distinct keys than the
-// finished level.
+// NewBackCache returns a cache whose two stage memos hold at most
+// capacity entries each (minimum 1).
 func NewBackCache(capacity int) *BackCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &BackCache{
 		cap:     capacity,
-		entries: make(map[backKey]*backEnd),
 		checked: make(map[checkedKey]*checkedEntry),
 		progs:   make(map[progKey]*progEntry),
 	}
 }
 
-// get returns the memoized back end for the key, or nil on a miss. src
-// guards against the (theoretical) 64-bit source-hash collision: a
-// mismatch is treated as a miss whose result must not be recorded, so
-// collisions cost performance, never correctness.
-func (bc *BackCache) get(key backKey, src string) (be *backEnd, collided bool) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if e, ok := bc.entries[key]; ok {
-		if e.src == src {
-			bc.hits++
-			return e, false
-		}
-		return nil, true
-	}
-	bc.misses++
-	return nil, false
-}
-
-// put records a freshly compiled back end. Two concurrent misses for the
-// same key are benign (the artifacts are identical); the first insert
-// wins, keeping the FIFO order consistent.
-func (bc *BackCache) put(key backKey, be *backEnd) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if _, ok := bc.entries[key]; ok {
-		return
-	}
-	if len(bc.fifo) >= bc.cap {
-		oldest := bc.fifo[0]
-		bc.fifo = bc.fifo[1:]
-		delete(bc.entries, oldest)
-	}
-	bc.entries[key] = be
-	bc.fifo = append(bc.fifo, key)
-}
-
-// assemble builds the finished artifact for one defect model through the
-// stage memos. The compile work runs outside the cache lock; duplicated
+// assemble builds the artifact for one defect model through the stage
+// memos, counting the call, and a miss when sema or fold/lower had to
+// run. The compile work runs outside the cache lock; duplicated
 // concurrent work for one key is benign (identical immutable results).
 func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
-	be := &backEnd{src: fe.Canon}
-	ce := bc.checkedFor(checkedKey{hash: fe.Hash, defects: lvl.Defects & semaDefects}, fe)
+	bc.calls.Add(1)
+	be := &backEnd{}
+	ce, missed := bc.checkedFor(checkedKey{hash: fe.Hash, defects: lvl.Defects & semaDefects}, fe)
+	if missed {
+		bc.misses.Add(1)
+	}
 	if ce.errMsg != "" {
 		be.outcome, be.msg = BuildFailure, ce.errMsg
 		return be
@@ -222,7 +169,10 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 		be.outcome, be.msg = out, msg
 		return be
 	}
-	pe := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & foldDefects, optimize: effOpt}, fe, ce.prog)
+	pe, folded := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & foldDefects, optimize: effOpt}, fe, ce.prog)
+	if folded && !missed {
+		bc.misses.Add(1)
+	}
 	if pe.errMsg != "" {
 		be.outcome, be.msg = BuildFailure, pe.errMsg
 		return be
@@ -233,13 +183,16 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 }
 
 // checkedFor returns the memoized sema product for the key, checking the
-// pristine front end on a miss.
-func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) *checkedEntry {
+// pristine front end on a miss; missed reports that sema ran. The stored
+// source guards against the (theoretical) 64-bit source-hash collision:
+// a mismatch is a miss whose product is not recorded, so collisions cost
+// performance, never correctness.
+func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) (ce *checkedEntry, missed bool) {
 	bc.mu.Lock()
 	e, ok := bc.checked[key]
 	bc.mu.Unlock()
 	if ok && e.src == fe.Canon {
-		return e
+		return e, false
 	}
 	collided := ok // present but for a different source: never record
 	prog, info, err := sema.Check(fe.Prog, key.defects)
@@ -260,18 +213,18 @@ func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) *checkedEntry {
 		}
 		bc.mu.Unlock()
 	}
-	return ne
+	return ne, true
 }
 
 // progFor returns the memoized folded/optimized/lowered program for the
 // key, running the copy-on-write pipeline (and the bytecode lowering)
-// over the shared checked program on a miss.
-func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) *progEntry {
+// over the shared checked program on a miss; missed reports that it ran.
+func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) (pe *progEntry, missed bool) {
 	bc.mu.Lock()
 	e, ok := bc.progs[key]
 	bc.mu.Unlock()
 	if ok && e.src == fe.Canon {
-		return e
+		return e, false
 	}
 	collided := ok
 	prog := opt.EarlyFolds(checked, key.defects, key.hash)
@@ -296,22 +249,28 @@ func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) *p
 		}
 		bc.mu.Unlock()
 	}
-	return ne
+	return ne, true
 }
 
-// Stats reports cumulative hit/miss counts of the finished-artifact level
-// and its current entry count.
+// Stats reports the cumulative cached compiles split into hits and
+// misses — a miss is a compile that had to run sema or fold/lower — and
+// the fold stage's current entry count.
 func (bc *BackCache) Stats() (hits, misses uint64, size int) {
+	// A compile counts its call before its miss, so loading the misses
+	// first keeps hits from underflowing.
+	misses = bc.misses.Load()
+	hits = bc.calls.Load() - misses
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	return bc.hits, bc.misses, len(bc.entries)
+	return hits, misses, len(bc.progs)
 }
 
 // DefaultBackCache is the process-wide back-end cache used by
-// Config.Compile and Config.CompileFrontEnd. A full campaign touches a
-// couple dozen distinct defect models per source, so the default capacity
-// holds the complete Table 1 matrix for well over a hundred concurrent
-// sources. CompileUncached bypasses it (and the front cache) entirely.
+// Config.Compile and Config.CompileFrontEnd. Its stage memos key on a
+// few defect bits each, so a full Table 1 matrix adds only a handful of
+// entries per source to either stage, and the default capacity holds
+// hundreds of concurrent sources. CompileUncached bypasses it (and the
+// front cache) entirely.
 var DefaultBackCache = NewBackCache(4096)
 
 // compileGates evaluates the compile-time defect triggers for one level:
@@ -346,7 +305,7 @@ func compileGates(info *sema.Info, hash uint64, lvl Level) (Outcome, string) {
 // NoOptimizer by the caller). It is the reference path the determinism
 // tests compare the staged cache against.
 func compileBackEnd(fe *FrontEnd, lvl Level, optimize bool) *backEnd {
-	be := &backEnd{src: fe.Canon}
+	be := &backEnd{}
 	prog, info, err := sema.Check(fe.Prog, lvl.Defects)
 	if err != nil {
 		be.outcome, be.msg = BuildFailure, err.Error()

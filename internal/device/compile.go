@@ -103,10 +103,9 @@ func init() {
 // lexing/parsing (memoized in DefaultFrontCache, since the front end is
 // configuration-independent), then the back end — semantic analysis with
 // the configuration's front-end defects, the always-on front-end folds,
-// and (unless disabled) the optimization pipeline — memoized in
-// DefaultBackCache per (source, defect set, effective optimize). The
-// result is OK with a runnable Kernel, or a build failure / compile
-// timeout.
+// and (unless disabled) the optimization pipeline — memoized stage by
+// stage in DefaultBackCache. The result is OK with a runnable Kernel, or
+// a build failure / compile timeout.
 func (c *Config) Compile(src string, optimize bool) CompileResult {
 	return c.compileFE(DefaultFrontCache.Get(src), optimize, DefaultBackCache)
 }
@@ -122,8 +121,8 @@ func (c *Config) CompileUncached(src string, optimize bool) CompileResult {
 // CompileFrontEnd runs the per-configuration back end on a shared front
 // end, memoized in DefaultBackCache: configurations whose defect model
 // compiles this source identically share one immutable checked program
-// (see backKey). The front end is never written to, so one FrontEnd may be
-// compiled concurrently by any number of configurations.
+// (see BackCache). The front end is never written to, so one FrontEnd may
+// be compiled concurrently by any number of configurations.
 func (c *Config) CompileFrontEnd(fe *FrontEnd, optimize bool) CompileResult {
 	return c.compileFE(fe, optimize, DefaultBackCache)
 }
@@ -138,15 +137,7 @@ func (c *Config) compileFE(fe *FrontEnd, optimize bool, bc *BackCache) CompileRe
 	effOpt := optimize && !c.NoOptimizer
 	var be *backEnd
 	if bc != nil {
-		key := backKey{hash: fe.Hash, defects: lvl.Defects, bfDiv: lvl.BFDiv, slowDiv: lvl.SlowDiv, optimize: effOpt}
-		cached, collided := bc.get(key, fe.Canon)
-		be = cached
-		if be == nil {
-			be = bc.assemble(fe, lvl, effOpt)
-			if !collided {
-				bc.put(key, be)
-			}
-		}
+		be = bc.assemble(fe, lvl, effOpt)
 	} else {
 		be = compileBackEnd(fe, lvl, effOpt)
 	}

@@ -22,17 +22,15 @@
 //   - The back end — semantic analysis under the level's defect set,
 //     the compile-time defect gates, the always-on front-end folds, the
 //     optimization pipeline, and lowering to the register bytecode the
-//     VM runs — is memoized in a BackCache
-//     (DefaultBackCache) keyed by (source hash, defect set, gate
-//     divisors, effective optimize). Every (configuration, level) pair
-//     whose defect model compiles the source identically shares one
-//     finished read-only Kernel: the four identical NVIDIA levels, the
-//     shared Intel CPU no-opt model, and Oclgrind's ignored optimization
-//     flag all collapse to single entries. Internally the BackCache is
-//     staged along the defect bits each phase reads (semaDefects,
-//     foldDefects), so even distinct models share the checked program
-//     and the folded/optimized program whenever those phases cannot
-//     tell the models apart.
+//     VM runs — is memoized in a BackCache (DefaultBackCache) with one
+//     memo per expensive stage, each keyed on the source hash and the
+//     defect bits that stage reads: sema per (source, semaDefects), and
+//     fold/optimize/lower per (source, foldDefects, effective optimize).
+//     Every (configuration, level) pair whose defect model those stages
+//     cannot tell apart gets the same read-only program, summary and
+//     bytecode: the four identical NVIDIA levels, the shared Intel CPU
+//     no-opt model, and Oclgrind's ignored optimization flag among them.
+//     Only the cheap compile-time gates run on every compile.
 //
 // Lowering is total: a program internal/code cannot lower is a build
 // failure whose message is the lowering error, on the cached and the

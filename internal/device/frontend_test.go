@@ -210,6 +210,60 @@ kernel void entry(global ulong *out) {
 	wg.Wait()
 }
 
+// TestBackCacheSecondPassHits pins that the two stage memos alone serve
+// every repeat compile: compiling the same sources on every configuration
+// at both levels a second time through one BackCache runs no stage — the
+// calls double and the misses do not move — and hands back the very Prog,
+// Info and Code objects of the first pass, the identity Share matches on.
+func TestBackCacheSecondPassHits(t *testing.T) {
+	bc := NewBackCache(4096)
+	fes := []*FrontEnd{
+		ParseFrontEnd(kernelSrc(3)),
+		ParseFrontEnd(generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 321, MaxTotalThreads: 32}).Src),
+	}
+	pass := func() []CompileResult {
+		var out []CompileResult
+		for _, fe := range fes {
+			for _, cfg := range All() {
+				for _, optimize := range []bool{false, true} {
+					out = append(out, cfg.compileFE(fe, optimize, bc))
+				}
+			}
+		}
+		return out
+	}
+	first := pass()
+	hits1, misses1, size1 := bc.Stats()
+	second := pass()
+	hits2, misses2, size2 := bc.Stats()
+	if calls := uint64(len(first)); hits1+misses1 != calls || hits2+misses2 != 2*calls {
+		t.Fatalf("calls after each pass = %d, %d; want %d, %d", hits1+misses1, hits2+misses2, calls, 2*calls)
+	}
+	if misses1 == 0 || misses2 != misses1 {
+		t.Fatalf("misses after each pass = %d, %d; want the same nonzero count", misses1, misses2)
+	}
+	if size1 == 0 || size2 != size1 {
+		t.Fatalf("fold-stage entries after each pass = %d, %d; want the same nonzero count", size1, size2)
+	}
+	ok := 0
+	for i, a := range first {
+		b := second[i]
+		if a.Outcome != b.Outcome || a.Msg != b.Msg {
+			t.Fatalf("compile %d: second pass (%v, %q) != first (%v, %q)", i, b.Outcome, b.Msg, a.Outcome, a.Msg)
+		}
+		if a.Outcome != OK {
+			continue
+		}
+		ok++
+		if a.Kernel.Prog != b.Kernel.Prog || a.Kernel.Info != b.Kernel.Info || a.Kernel.Code != b.Kernel.Code {
+			t.Errorf("compile %d (config %d opt=%v): second pass returned new artifacts", i, a.Kernel.Config.ID, a.Kernel.Optimized)
+		}
+	}
+	if ok == 0 {
+		t.Fatal("no compile succeeded")
+	}
+}
+
 // TestFrontCacheConcurrentEviction hammers a tiny cache from many
 // goroutines over more sources than it can hold, so every Get races with
 // FIFO evictions. The contract under test is hit/miss independence: no

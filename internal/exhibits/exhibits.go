@@ -457,8 +457,8 @@ kernel void entry(global ulong *out) {
 // documented misbehaviour. It returns a descriptive error on any
 // mismatch. Launches go through the shared campaign engine, so the
 // exhibit source parses once, configurations sharing a defect model
-// share one compiled kernel, and repeated verifications (clbench's
-// figure benchmarks, CI) are served by the result cache.
+// share one compiled kernel, and repeated verifications (the Figure
+// benchmarks in bench_test.go, CI) are served by the result cache.
 func Verify(e *Exhibit) error {
 	c := campaign.Case{Name: e.ID, Src: e.Src, ND: e.ND, Buffers: e.Args}
 	rr := campaign.Default.RunCase(device.Reference(), true, c, campaign.LaunchOptions{})

@@ -19,12 +19,13 @@
 // CLsmithCampaign, EMICampaign) stream the whole case list; the shard
 // driver runs an interleaved slice of it:
 //
-//   - RunShard executes cases i, i+n, i+2n, … and emits a ShardFile —
-//     the machine-readable partial-results format behind
+//   - RunShardOpts executes cases i, i+n, i+2n, … and emits a ShardFile
+//     — the machine-readable partial-results format behind
 //     `cltables -shard i/n`;
-//   - MergeShards validates that a set of shard files covers every case
-//     exactly once and folds them into output byte-identical to the
-//     unsharded run (`cltables -merge`);
+//   - MergeShardPaths (`cltables -merge`) and MergeShardsNamed (the fleet
+//     supervisor) validate that a set of shard files covers every case
+//     exactly once and fold them into output byte-identical to the
+//     unsharded run;
 //   - RenderCampaign is the unsharded path, implemented as a one-shard
 //     run plus a merge so the two flows cannot diverge.
 //
@@ -35,7 +36,7 @@
 // (exec.SetDebugImmutable) armed.
 //
 // Entry points: RunOn / RunEverywhere for single cases, the four
-// campaign runners, RunShard / MergeShards / RenderCampaign for
+// campaign runners, RunShardOpts / MergeShardPaths / RenderCampaign for
 // sharding, and the RenderTable* formatters that print the paper's
 // layouts.
 package harness

@@ -96,27 +96,25 @@ func fuzzDiffConfigs(cfgs []*device.Config) []*device.Config {
 	return out
 }
 
-// FuzzFold is the aggregate state folded from a fuzz campaign's record
+// fuzzFold is the aggregate state folded from a fuzz campaign's record
 // stream: the merged coverage map (the union of every step's novel-edge
 // delta — byte-identical whether the records came from one process or a
 // merged fleet), corpus sizes, and outcome tallies.
-type FuzzFold struct {
+type fuzzFold struct {
 	Cover      *exec.CoverMap
-	Steps      int
 	CorpusLen  map[int]int // chain → corpus size after its last step
 	Origins    map[string]int
 	Outcomes   map[string]int
 	Mismatches int
 	// Curve holds the cumulative distinct-edge count after each case, in
-	// case order — the coverage-over-time series clbench snapshots.
+	// case order — the coverage-over-time series RenderFuzz prints.
 	Curve []int
 }
 
 // foldFuzz folds step records (complete, in case order).
-func foldFuzz(recs []corpus.StepRecord) *FuzzFold {
-	f := &FuzzFold{
+func foldFuzz(recs []corpus.StepRecord) *fuzzFold {
+	f := &fuzzFold{
 		Cover:     new(exec.CoverMap),
-		Steps:     len(recs),
 		CorpusLen: map[int]int{},
 		Origins:   map[string]int{},
 		Outcomes:  map[string]int{},
@@ -143,7 +141,7 @@ func foldFuzz(recs []corpus.StepRecord) *FuzzFold {
 }
 
 // CorpusTotal sums the per-chain corpus sizes.
-func (f *FuzzFold) CorpusTotal() int {
+func (f *fuzzFold) CorpusTotal() int {
 	n := 0
 	for _, c := range f.CorpusLen {
 		n += c
@@ -205,29 +203,4 @@ func RenderFuzz(p Params, recs []corpus.StepRecord) string {
 	fmt.Fprintf(&b, "distinct VM edges: %d, corpus members: %d, wrong-code mismatches: %d\n",
 		f.Cover.Count(), f.CorpusTotal(), f.Mismatches)
 	return b.String()
-}
-
-// FoldFuzzRecords folds raw fuzz records (as read from shard files) for
-// programmatic consumers (clbench's coverage-over-time series).
-func FoldFuzzRecords(records []json.RawMessage) (*FuzzFold, error) {
-	recs, err := decodeRecords[corpus.StepRecord](records)
-	if err != nil {
-		return nil, err
-	}
-	return foldFuzz(recs), nil
-}
-
-// RunFuzzFold runs the fuzz campaign described by p to completion in
-// this process and folds its record stream — clbench's entry point for
-// the guided-vs-random coverage-over-time comparison.
-func RunFuzzFold(ctx context.Context, p Params) (*FuzzFold, error) {
-	sf, err := RunShardOpts(ctx, p, 0, 1, ShardRunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]json.RawMessage, len(sf.Records))
-	for i, r := range sf.Records {
-		raw[i] = r.Data
-	}
-	return FoldFuzzRecords(raw)
 }

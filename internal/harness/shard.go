@@ -219,7 +219,7 @@ func CampaignCases(p Params) (int, error) {
 	return sc.cases, nil
 }
 
-// ShardRunOptions tunes RunShard beyond the defaults.
+// ShardRunOptions tunes RunShardOpts beyond the defaults.
 type ShardRunOptions struct {
 	// Prior resumes a partial shard file from an earlier, interrupted run
 	// of the identical slice: its records are reused and only the missing
@@ -232,21 +232,17 @@ type ShardRunOptions struct {
 	OnCase func(done, total int)
 }
 
-// RunShard executes shard `shard` of `of` interleaved campaign slices
+// RunShardOpts executes shard `shard` of `of` interleaved campaign slices
 // (cases with index % of == shard) and returns the partial-results file.
 // The case list itself — including execution-backed acceptance filtering
 // — is deterministic in Params, so every shard sees the identical list
-// and the merged output is byte-identical to an unsharded run.
+// and the merged output is byte-identical to an unsharded run. o adds
+// resume and progress options; the zero value runs the whole slice.
 //
-// Cancelling ctx stops dispatch cooperatively; RunShard then returns the
-// valid partial file holding every case that completed before the
+// Cancelling ctx stops dispatch cooperatively; RunShardOpts then returns
+// the valid partial file holding every case that completed before the
 // cancellation, together with ctx's error. Feed that file back through
 // ShardRunOptions.Prior to resume.
-func RunShard(ctx context.Context, p Params, shard, of int) (*ShardFile, error) {
-	return runShard(ctx, campaign.Default, p, shard, of, ShardRunOptions{})
-}
-
-// RunShardOpts is RunShard with resume and progress options.
 func RunShardOpts(ctx context.Context, p Params, shard, of int, o ShardRunOptions) (*ShardFile, error) {
 	return runShard(ctx, campaign.Default, p, shard, of, o)
 }
@@ -407,15 +403,10 @@ func LoadShardFile(path string) (*ShardFile, error) {
 	return &sf, nil
 }
 
-// MergeShards validates that the shard files cover every case of one
-// campaign exactly once, folds their records in case order, and renders
-// the output — byte-identical to the unsharded run.
-func MergeShards(files []*ShardFile) (string, error) {
-	return mergeShards(campaign.Default, files, nil)
-}
-
-// MergeShardsNamed is MergeShards with per-file labels (paths, shard
-// descriptions) for error messages.
+// MergeShardsNamed validates that the shard files cover every case of
+// one campaign exactly once, folds their records in case order, and
+// renders the output — byte-identical to the unsharded run. names labels
+// the files (paths, shard descriptions) in error messages.
 func MergeShardsNamed(files []*ShardFile, names []string) (string, error) {
 	return mergeShards(campaign.Default, files, names)
 }
