@@ -2,12 +2,14 @@
 // evaluation (§7). Each benchmark runs its campaign at a laptop scale —
 // set -clfuzz.scale to enlarge — and logs the rendered table so that
 // `go test -bench=. -benchmem` reproduces the full evaluation.
-// ARCHITECTURE.md maps each artifact to its campaign runner.
+// ARCHITECTURE.md maps each artifact to its campaign.
 package clfuzz_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"clfuzz/internal/benchmarks"
@@ -23,6 +25,16 @@ import (
 
 var benchScale = flag.Int("clfuzz.scale", 6, "campaign scale for the table benchmarks (kernels per mode / EMI bases)")
 
+// renderTable runs one table campaign through harness.RenderCampaign,
+// the path cltables takes, and fails the benchmark on error.
+func renderTable(b *testing.B, p harness.Params) string {
+	out, err := harness.RenderCampaign(context.Background(), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
 // BenchmarkTable1 regenerates the Table 1 configuration classification:
 // 21 configurations against the 25% reliability threshold (§7.1).
 func BenchmarkTable1(b *testing.B) {
@@ -30,16 +42,10 @@ func BenchmarkTable1(b *testing.B) {
 		b.Skip("campaign-scale benchmark; run without -short")
 	}
 	for i := 0; i < b.N; i++ {
-		rows := harness.ClassifyConfigurations(*benchScale, 7, 48, 0)
+		out := renderTable(b, harness.Params{Table: 1, Scale: *benchScale, Seed: 7, Threads: 48})
 		if i == 0 {
-			b.Log("\n" + harness.RenderTable1(rows))
-			matches := 0
-			for _, r := range rows {
-				if r.MatchesPaper {
-					matches++
-				}
-			}
-			b.ReportMetric(float64(matches), "paper-matches/21")
+			b.Log("\n" + out)
+			b.ReportMetric(float64(21-strings.Count(out, "MISMATCH")), "paper-matches/21")
 		}
 	}
 }
@@ -75,11 +81,13 @@ func BenchmarkTable3(b *testing.B) {
 		b.Skip("campaign-scale benchmark; run without -short")
 	}
 	for i := 0; i < b.N; i++ {
-		t3 := harness.EMIBenchmarkCampaign(2, 11, 0)
+		// Scale 2 runs 2 variants per benchmark (Scale/2+1).
+		out := renderTable(b, harness.Params{Table: 3, Scale: 2, Seed: 11})
 		if i == 0 {
-			b.Log("\n" + harness.RenderTable3(t3))
-			if len(t3.RacyExcluded) != 2 {
-				b.Errorf("expected spmv and myocyte excluded for races, got %v", t3.RacyExcluded)
+			b.Log("\n" + out)
+			header, _, _ := strings.Cut(out, "\n")
+			if !strings.Contains(header, "spmv") || !strings.Contains(header, "myocyte") {
+				b.Errorf("expected spmv and myocyte excluded for races, got %q", header)
 			}
 		}
 	}
@@ -93,9 +101,9 @@ func BenchmarkTable4(b *testing.B) {
 		b.Skip("campaign-scale benchmark; run without -short")
 	}
 	for i := 0; i < b.N; i++ {
-		t4 := harness.CLsmithCampaign(*benchScale, 13, 48, 0)
+		out := renderTable(b, harness.Params{Table: 4, Scale: *benchScale, Seed: 13, Threads: 48})
 		if i == 0 {
-			b.Log("\n" + harness.RenderTable4(t4))
+			b.Log("\n" + out)
 		}
 	}
 }
@@ -108,9 +116,9 @@ func BenchmarkTable5(b *testing.B) {
 		b.Skip("campaign-scale benchmark; run without -short")
 	}
 	for i := 0; i < b.N; i++ {
-		t5 := harness.EMICampaign(*benchScale/2+1, 17, 48, 0)
+		out := renderTable(b, harness.Params{Table: 5, Scale: *benchScale/2 + 1, Seed: 17, Threads: 48})
 		if i == 0 {
-			b.Log("\n" + harness.RenderTable5(t5))
+			b.Log("\n" + out)
 		}
 	}
 }
@@ -118,14 +126,15 @@ func BenchmarkTable5(b *testing.B) {
 // BenchmarkPruningStrategies regenerates the §7.4 strategy comparison:
 // defect-inducing variant counts attributed to the leaf, compound and lift
 // pruning probabilities (the paper found lift slightly less effective).
+// The rendered Table 5 campaign ends with the comparison.
 func BenchmarkPruningStrategies(b *testing.B) {
 	if testing.Short() {
 		b.Skip("campaign-scale benchmark; run without -short")
 	}
 	for i := 0; i < b.N; i++ {
-		t5 := harness.EMICampaign(*benchScale/2+1, 19, 48, 0)
+		out := renderTable(b, harness.Params{Table: 5, Scale: *benchScale/2 + 1, Seed: 19, Threads: 48})
 		if i == 0 {
-			b.Log("\n" + harness.RenderPruningComparison(t5))
+			b.Log("\n" + out)
 		}
 	}
 }
@@ -322,7 +331,7 @@ func BenchmarkDifferentialTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := generator.Generate(generator.Options{Mode: generator.ModeBasic, Seed: int64(1000 + i), MaxTotalThreads: 32})
 		c := harness.CaseFromKernel(k, "bench")
-		rs := harness.RunEverywhere(cfgs, c, 0)
+		rs := harness.RunEverywhere(cfgs, c)
 		_ = oracle.WrongCode(rs)
 	}
 }
@@ -336,7 +345,7 @@ func BenchmarkDifferentialTestUncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := generator.Generate(generator.Options{Mode: generator.ModeBasic, Seed: int64(1000 + i), MaxTotalThreads: 32})
 		c := harness.CaseFromKernel(k, "bench")
-		rs := harness.RunEverywhereUncached(cfgs, c, 0)
+		rs := harness.RunEverywhereUncached(cfgs, c)
 		_ = oracle.WrongCode(rs)
 	}
 }

@@ -33,10 +33,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var nd exec.NDRange
-	if _, err := fmt.Sscanf(*ndFlag, "%dx%dx%d/%dx%dx%d",
-		&nd.Global[0], &nd.Global[1], &nd.Global[2],
-		&nd.Local[0], &nd.Local[1], &nd.Local[2]); err != nil {
+	nd, err := exec.ParseNDRange(*ndFlag)
+	if err != nil {
 		log.Fatalf("bad -nd: %v", err)
 	}
 	cfgs := harness.AboveThresholdConfigs()
@@ -47,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := harness.RunEverywhere(cfgs, c, 0)
+	results := harness.RunEverywhere(cfgs, c)
 	wrong := map[string]bool{}
 	for _, k := range oracle.WrongCode(results) {
 		wrong[k] = true

@@ -41,10 +41,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var nd exec.NDRange
-	if _, err := fmt.Sscanf(*ndFlag, "%dx%dx%d/%dx%dx%d",
-		&nd.Global[0], &nd.Global[1], &nd.Global[2],
-		&nd.Local[0], &nd.Local[1], &nd.Local[2]); err != nil {
+	nd, err := exec.ParseNDRange(*ndFlag)
+	if err != nil {
 		log.Fatalf("bad -nd: %v", err)
 	}
 	ref := device.Reference()
@@ -53,8 +51,8 @@ func main() {
 		if err != nil {
 			return false
 		}
-		a := harness.RunOn(cfg, !*noopt, c, 0)
-		b := harness.RunOn(ref, true, c, 0)
+		a := harness.RunOn(cfg, !*noopt, c)
+		b := harness.RunOn(ref, true, c)
 		return a.Outcome == device.OK && b.Outcome == device.OK && !oracle.Equal(a.Output, b.Output)
 	}
 	res, err := reduce.Reduce(string(srcBytes), reduce.Options{

@@ -42,9 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nd, err := parseND(*ndFlag)
+	nd, err := exec.ParseNDRange(*ndFlag)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("bad -nd: %v", err)
 	}
 	if _, err := campaign.EnableStore(*storeDir); err != nil {
 		log.Fatal(err)
@@ -121,14 +121,4 @@ func main() {
 		}
 		fmt.Println(strings.Join(strs, ","))
 	}
-}
-
-func parseND(s string) (exec.NDRange, error) {
-	var nd exec.NDRange
-	if _, err := fmt.Sscanf(s, "%dx%dx%d/%dx%dx%d",
-		&nd.Global[0], &nd.Global[1], &nd.Global[2],
-		&nd.Local[0], &nd.Local[1], &nd.Local[2]); err != nil {
-		return nd, fmt.Errorf("bad -nd %q: %v", s, err)
-	}
-	return nd, nd.Validate()
 }

@@ -29,7 +29,8 @@
 //   - emi: EMI injection and pruning (§5)
 //   - oracle: the majority-vote oracle (§3.2)
 //   - benchmarks: the Parboil/Rodinia integer ports (Table 2)
-//   - harness: the Table 1/3/4/5 campaign runners and renderers (§7)
+//   - harness: the Table 1/3/4/5 campaigns (case lists, records, folds,
+//     sharding) and renderers (§7)
 //   - exhibits: the Figure 1/2 bug kernels
 //   - reduce: the concurrency-aware test-case reducer (§8)
 package clfuzz

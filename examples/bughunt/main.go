@@ -26,7 +26,7 @@ func main() {
 			Mode: generator.ModeAll, Seed: seed, MaxTotalThreads: 48,
 		})
 		c := harness.CaseFromKernel(k, fmt.Sprintf("seed-%d", seed))
-		results := harness.RunEverywhere(cfgs, c, 0)
+		results := harness.RunEverywhere(cfgs, c)
 		wrong := oracle.WrongCode(results)
 		if len(wrong) == 0 {
 			continue
@@ -45,8 +45,8 @@ func main() {
 		}
 		interesting := func(cand string) bool {
 			cc := harness.Case{Src: cand, ND: k.ND, Buffers: k.Buffers}
-			a := harness.RunOn(culprit, optimize, cc, 0)
-			b := harness.RunOn(ref, true, cc, 0)
+			a := harness.RunOn(culprit, optimize, cc)
+			b := harness.RunOn(ref, true, cc)
 			return a.Outcome == device.OK && b.Outcome == device.OK && !oracle.Equal(a.Output, b.Output)
 		}
 		res, err := reduce.Reduce(k.Src, reduce.Options{

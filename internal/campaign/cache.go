@@ -12,13 +12,13 @@ import (
 
 // resultKey identifies everything a deterministic launch result depends
 // on: the printed-source hash, the full defect model (the launch-time
-// gates read the level's divisors and the source hash), the effective
-// optimization setting, the resolved evaluation engine (outputs are
-// pinned byte-identical across engines, but keying on it keeps the
-// engine-comparison suites honest), and a digest of the entire machine
-// state the launch reads — NDRange, argument names, scalar values,
-// buffer types and initial contents, the result-buffer binding and the
-// fuel budget.
+// gates read the level's divisors and the source hash; the level's fuel
+// factor fixes the step budget), the effective optimization setting,
+// the resolved evaluation engine (outputs are pinned byte-identical
+// across engines, but keying on it keeps the engine-comparison suites
+// honest), and a digest of the entire machine state the launch reads —
+// NDRange, argument names, scalar values, buffer types and initial
+// contents, and the result-buffer binding.
 type resultKey struct {
 	srcHash uint64
 	lvl     device.Level
@@ -213,7 +213,6 @@ func resultKeyFor(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exe
 	for _, l := range nd.Local {
 		d.word(uint64(l))
 	}
-	d.word(uint64(o.BaseFuel))
 	names := make([]string, 0, len(args))
 	for name := range args {
 		names = append(names, name)

@@ -98,7 +98,8 @@ func (r UnitResult) AsOracle() oracle.Result {
 
 // Matrix is one case's launch matrix: a set of variant sources sharing a
 // single launch geometry, and the (source, configuration, level) units
-// to run. Units sharing a source text and a defect model execute once.
+// to run. Units sharing a source text and a defect model execute once,
+// and each runs with its level's step budget.
 type Matrix struct {
 	Name string
 	// Sources are the variant kernel texts (a plain differential test has
@@ -110,9 +111,8 @@ type Matrix struct {
 	// of a source share executions across defect models (see
 	// device.Share). Campaigns whose variants share one argument shape
 	// (Tables 1/4/5) ignore the index.
-	Buffers  func(src int) (exec.Args, *exec.Buffer)
-	BaseFuel int64
-	Units    []Unit
+	Buffers func(src int) (exec.Args, *exec.Buffer)
+	Units   []Unit
 	// Ctx cancels the matrix cooperatively: representatives not yet
 	// launched when it fires report device.Canceled instead of executing.
 	// A record folded from a cancelled matrix is poisoned and must be
@@ -159,7 +159,7 @@ type Engine struct {
 }
 
 // Default is the process-wide campaign engine, wired to the default
-// compile caches; the table runners, exhibits and CLI tools all share
+// compile caches; the table campaigns, exhibits and CLI tools all share
 // it, so its result cache memoizes across campaigns in one process.
 var Default = &Engine{Front: device.DefaultFrontCache, Results: NewResultCache(8192)}
 
@@ -179,11 +179,10 @@ func (e *Engine) CacheSkips() (nonFlat, race, cover int64) {
 	return e.skipNonFlat.Load(), e.skipRace.Load(), e.skipCover.Load()
 }
 
-// LaunchOptions tunes a single-case run (Engine.RunCase).
+// LaunchOptions tunes a single-case run (Engine.RunCase). Every launch
+// gets the one step budget its configuration level defines (see
+// device.RunOptions).
 type LaunchOptions struct {
-	// BaseFuel is the per-thread step budget before the configuration's
-	// fuel factor; device.DefaultFuel when zero.
-	BaseFuel int64
 	// CheckRaces enables the undefined-behaviour checker; checked runs
 	// bypass the result cache (their diagnostics depend on the checker).
 	CheckRaces bool
@@ -278,7 +277,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		launchCov = new(exec.CoverMap)
 	}
 	rr := cr.Kernel.Run(nd, args, result, device.RunOptions{
-		BaseFuel:   o.BaseFuel,
 		CheckRaces: o.CheckRaces,
 		Engine:     o.Engine,
 		Ctx:        o.Ctx,
@@ -345,7 +343,7 @@ func (e *Engine) RunMatrix(m Matrix, width int) []UnitResult {
 		results[i] = e.runUnit(u.Cfg, u.Opt, fes[src], m.ND,
 			func() (exec.Args, *exec.Buffer) { return m.Buffers(src) },
 			&shares[src],
-			LaunchOptions{BaseFuel: m.BaseFuel, Ctx: m.Ctx})
+			LaunchOptions{Ctx: m.Ctx})
 		return struct{}{}
 	}, func(int, struct{}) {})
 	for i, r := range follower {

@@ -18,11 +18,10 @@ import (
 // shareKernel is one launch the sharing test runs on every
 // configuration at both levels.
 type shareKernel struct {
-	name     string
-	src      string
-	nd       exec.NDRange
-	args     func() (exec.Args, *exec.Buffer)
-	baseFuel int64
+	name string
+	src  string
+	nd   exec.NDRange
+	args func() (exec.Args, *exec.Buffer)
 }
 
 // outArgs is the argument factory of a kernel whose only argument is
@@ -76,19 +75,21 @@ kernel void k(global ulong *out) {
 
 // fuelKernel loops for more steps than 19-'s budget and fewer than 1-'s,
 // so it times out on the slowest configurations only; the two compile
-// it to one program and differ in no defect bit it tests.
+// it to one program and differ in no defect bit it tests. It runs on a
+// single work-item: at the default budget each launch takes a few
+// hundred thousand steps, which keeps the race-detector runs short.
 func fuelKernel(t *testing.T) shareKernel {
-	nd := exec.NDRange{Global: [3]int{4, 1, 1}, Local: [3]int{4, 1, 1}}
-	k := shareKernel{name: "fuel", nd: nd, args: outArgs(nd), baseFuel: 20000}
+	nd := exec.NDRange{Global: [3]int{1, 1, 1}, Local: [3]int{1, 1, 1}}
+	k := shareKernel{name: "fuel", nd: nd, args: outArgs(nd)}
 	k.src = `
 kernel void k(global ulong *out) {
     ulong acc = get_linear_global_id();
-    for (int i = 0; i < 1000; i++) { acc = acc * 31UL + (ulong)i; }
+    for (int i = 0; i < 14500; i++) { acc = acc * 31UL + (ulong)i; }
     out[get_linear_global_id()] = acc;
 }
 `
 	budget := func(id int) int64 {
-		return int64(float64(k.baseFuel) * device.ByID(id).Level(false).FuelFactor)
+		return int64(float64(device.DefaultFuel) * device.ByID(id).Level(false).FuelFactor)
 	}
 	cr := device.Reference().Compile(k.src, false)
 	if cr.Outcome != device.OK {
@@ -142,15 +143,14 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 				continue
 			}
 			args, result := k.args()
-			want[i] = cr.Kernel.Run(k.nd, args, result, device.RunOptions{BaseFuel: k.baseFuel})
+			want[i] = cr.Kernel.Run(k.nd, args, result, device.RunOptions{})
 		}
 		m := campaign.Matrix{
-			Name:     k.name,
-			Sources:  []string{k.src},
-			ND:       k.nd,
-			Buffers:  func(int) (exec.Args, *exec.Buffer) { return k.args() },
-			BaseFuel: k.baseFuel,
-			Units:    units,
+			Name:    k.name,
+			Sources: []string{k.src},
+			ND:      k.nd,
+			Buffers: func(int) (exec.Args, *exec.Buffer) { return k.args() },
+			Units:   units,
 		}
 		for _, width := range []int{runtime.GOMAXPROCS(0), 1} {
 			eng := &campaign.Engine{Front: device.NewFrontCache(4)}

@@ -10,6 +10,7 @@ import (
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/generator"
+	"clfuzz/internal/oracle"
 )
 
 // StepRecord is one fuzzing step's deterministic, mergeable record: what
@@ -41,8 +42,6 @@ type ChainConfig struct {
 	Seed int64
 	// Threads caps generated-kernel thread counts.
 	Threads int
-	// BaseFuel is the per-launch fuel budget (device.DefaultFuel if 0).
-	BaseFuel int64
 	// CorpusSize bounds the chain's corpus (default 64).
 	CorpusSize int
 	// FreshProb is the probability a step generates a fresh kernel even
@@ -177,7 +176,7 @@ func (c *Chain) stepLocked(ctx context.Context, step int) StepRecord {
 		ND:      k.ND,
 		Buffers: k.Buffers,
 	}
-	lo := campaign.LaunchOptions{BaseFuel: c.cfg.BaseFuel, Ctx: ctx}
+	lo := campaign.LaunchOptions{Ctx: ctx}
 	refLo := lo
 	refLo.Cover = stepCov
 	ref := c.eng.RunCase(c.cfg.Ref, true, cse, refLo)
@@ -214,7 +213,7 @@ func (c *Chain) stepLocked(ctx context.Context, step int) StepRecord {
 	if ref.Outcome == device.OK {
 		check := func(cfg *device.Config, opt bool) {
 			r := c.eng.RunCase(cfg, opt, cse, lo)
-			if r.Outcome == device.OK && !equalOutputs(r.Output, ref.Output) {
+			if r.Outcome == device.OK && !oracle.Equal(r.Output, ref.Output) {
 				rec.Mismatch = true
 			}
 		}
@@ -226,16 +225,4 @@ func (c *Chain) stepLocked(ctx context.Context, step int) StepRecord {
 		}
 	}
 	return rec
-}
-
-func equalOutputs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -170,11 +170,9 @@ type RunResult struct {
 	Shared bool
 }
 
-// RunOptions tunes kernel execution.
+// RunOptions tunes kernel execution. The step budget is not among
+// them: every launch gets DefaultFuel times its level's fuel factor.
 type RunOptions struct {
-	// BaseFuel is the per-thread step budget before the configuration's
-	// fuel factor; DefaultFuel when zero.
-	BaseFuel int64
 	// CheckRaces enables the undefined-behaviour checker (off during
 	// campaigns, as on real devices; on for the reference configuration
 	// when hunting benchmark races).
@@ -217,10 +215,6 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	if lvl.CrashBarrierDiv != 0 && k.Info.HasBarrier && bugs.Gate(k.Hash, saltCrashBar, lvl.CrashBarrierDiv) {
 		return RunResult{Outcome: Crash, Msg: "runtime crash in barrier-using kernel"}
 	}
-	fuel := ro.BaseFuel
-	if fuel <= 0 {
-		fuel = DefaultFuel
-	}
 	ff := lvl.FuelFactor
 	if ff <= 0 {
 		ff = 1
@@ -232,7 +226,7 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	opts := exec.Options{
 		Defects:    lvl.Defects,
 		Hash:       k.Hash,
-		Fuel:       int64(float64(fuel) * ff),
+		Fuel:       int64(float64(DefaultFuel) * ff),
 		CheckRaces: ro.CheckRaces,
 		Ctx:        ro.Ctx,
 		// Barrier-free kernels (the common case for generated tests) take

@@ -154,11 +154,3 @@ func (c *CoverMap) AddSites(s [CoverNumSites]uint64) {
 		}
 	}
 }
-
-// Merge ORs another map's edges and adds its site counts into this one,
-// returning the number of novel edges contributed.
-func (c *CoverMap) Merge(o *CoverMap) int {
-	novel := c.AddEdges(o.Edges())
-	c.AddSites(o.SiteHits())
-	return novel
-}

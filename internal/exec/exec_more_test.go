@@ -359,6 +359,35 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
+// TestParseNDRange: the -nd flag form parses into a validated NDRange,
+// and every invalid geometry is refused before any launch sees it.
+func TestParseNDRange(t *testing.T) {
+	cases := []struct {
+		in   string
+		want exec.NDRange
+		ok   bool
+	}{
+		{"8x4x2/4x2x2", exec.NDRange{Global: [3]int{8, 4, 2}, Local: [3]int{4, 2, 2}}, true},
+		{"16x1x1/0x1x1", exec.NDRange{}, false},      // zero size
+		{"-16x1x1/16x1x1", exec.NDRange{}, false},    // negative size
+		{"16x1x1/3x1x1", exec.NDRange{}, false},      // local does not divide global
+		{"512x1x1/512x1x1", exec.NDRange{}, false},   // group of more than 256
+		{"16x1x1", exec.NDRange{}, false},            // no local size
+		{"sixteen", exec.NDRange{}, false},           // malformed
+		{"16x1x1/16x1x1junk", exec.NDRange{}, false}, // trailing text
+	}
+	for _, c := range cases {
+		nd, err := exec.ParseNDRange(c.in)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseNDRange(%q) error = %v, want ok=%v", c.in, err, c.ok)
+			continue
+		}
+		if c.ok && nd != c.want {
+			t.Errorf("ParseNDRange(%q) = %+v, want %+v", c.in, nd, c.want)
+		}
+	}
+}
+
 // TestMultiGroupIsolation: local memory is per work-group.
 func TestMultiGroupIsolation(t *testing.T) {
 	src := `

@@ -40,6 +40,21 @@ func (n NDRange) Validate() error {
 	return nil
 }
 
+// ParseNDRange parses and validates a launch geometry written
+// GXxGYxGZ/LXxLYxLZ, the form the command-line tools take as -nd. Text
+// that does not print back as itself is refused: Sscanf alone would
+// ignore anything after the sixth number.
+func ParseNDRange(s string) (NDRange, error) {
+	const form = "%dx%dx%d/%dx%dx%d"
+	var nd NDRange
+	g, l := &nd.Global, &nd.Local
+	if _, err := fmt.Sscanf(s, form, &g[0], &g[1], &g[2], &l[0], &l[1], &l[2]); err != nil ||
+		fmt.Sprintf(form, g[0], g[1], g[2], l[0], l[1], l[2]) != s {
+		return NDRange{}, fmt.Errorf("exec: NDRange %q is not GXxGYxGZ/LXxLYxLZ", s)
+	}
+	return nd, nd.Validate()
+}
+
 // GlobalLinear returns the total number of threads.
 func (n NDRange) GlobalLinear() int { return n.Global[0] * n.Global[1] * n.Global[2] }
 

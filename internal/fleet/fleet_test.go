@@ -29,10 +29,13 @@ func testParams() harness.Params {
 // dir and returns their paths, indexed by shard.
 func writePayloads(t *testing.T, dir string, p harness.Params, of int) []string {
 	t.Helper()
-	cases, err := harness.CampaignCases(p)
+	// A one-slice quarantine file carries the campaign's case count
+	// without executing anything.
+	whole, err := harness.QuarantineShard(p, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cases := whole.Cases
 	paths := make([]string, of)
 	for shard := 0; shard < of; shard++ {
 		sf := &harness.ShardFile{Schema: harness.ShardSchema, Params: p, Cases: cases, Shard: shard, Of: of}
@@ -52,7 +55,9 @@ func writePayloads(t *testing.T, dir string, p harness.Params, of int) []string 
 }
 
 // scriptWorker runs the sh script for each attempt with $1=shard,
-// $2=of, $3=outPath and $4=a scratch dir for latches.
+// $2=of, $3=outPath and $4=a scratch dir for latches. A script that
+// hangs does so with `exec sleep`, so the kill that reaps the attempt
+// ends the sleep too instead of orphaning it.
 func scriptWorker(script, scratch string) WorkerFactory {
 	return func(ctx context.Context, shard, of int, outPath string) *osexec.Cmd {
 		return osexec.CommandContext(ctx, "sh", "-c", script, "worker",
@@ -137,7 +142,7 @@ func TestTimeoutKillsHungWorker(t *testing.T) {
 	// Shard 0's first attempt hangs; the shard timeout must kill it and
 	// the retry succeeds.
 	script := `
-if [ "$1" = 0 ] && [ ! -e "$4/latch" ]; then touch "$4/latch"; sleep 300; fi
+if [ "$1" = 0 ] && [ ! -e "$4/latch" ]; then touch "$4/latch"; exec sleep 300; fi
 ` + copyScript
 	rep, err := Run(context.Background(), p, Config{
 		Shards:        2,
@@ -255,11 +260,14 @@ func TestSpeculativeRedispatchOfStraggler(t *testing.T) {
 	p := testParams()
 	scratch := t.TempDir()
 	writePayloads(t, scratch, p, 2)
-	// Shard 1's first attempt latches then hangs. With no shard timeout,
-	// only the speculative duplicate — dispatched once shard 0 finishes
-	// and seeing the latch — can complete the campaign.
+	// Whichever attempt of shard 1 takes the latch hangs. With no shard
+	// timeout, only the other one — the speculative duplicate dispatched
+	// once shard 0 finishes, or the first attempt if the duplicate took
+	// the latch — can complete the campaign. mkdir takes the latch
+	// atomically, so exactly one attempt hangs even when the duplicate
+	// starts before the first attempt reaches the latch.
 	script := `
-if [ "$1" = 1 ] && [ ! -e "$4/latch" ]; then touch "$4/latch"; sleep 300; fi
+if [ "$1" = 1 ] && mkdir "$4/latch" 2>/dev/null; then exec sleep 300; fi
 ` + copyScript
 	rep, err := Run(context.Background(), p, Config{
 		Shards:        2,

@@ -91,8 +91,8 @@ func TestCompileCacheDeterminism(t *testing.T) {
 	armImmutableAssert(t)
 	cfgs := device.All()
 	for _, c := range goldenCases(t) {
-		got := RunEverywhere(cfgs, c, 0)
-		want := RunEverywhereUncached(cfgs, c, 0)
+		got := RunEverywhere(cfgs, c)
+		want := RunEverywhereUncached(cfgs, c)
 		requireSameResults(t, c.Name, got, want)
 	}
 }
@@ -107,7 +107,7 @@ func TestConcurrentCampaignsDeterministic(t *testing.T) {
 	cases := goldenCases(t)
 	want := make([][]oracle.Result, len(cases))
 	for i, c := range cases {
-		want[i] = RunEverywhereUncached(cfgs, c, 0)
+		want[i] = RunEverywhereUncached(cfgs, c)
 	}
 	const campaigns = 2
 	got := make([][][]oracle.Result, campaigns)
@@ -118,7 +118,7 @@ func TestConcurrentCampaignsDeterministic(t *testing.T) {
 			defer wg.Done()
 			got[ci] = make([][]oracle.Result, len(cases))
 			for i, c := range cases {
-				got[ci][i] = RunEverywhere(cfgs, c, 0)
+				got[ci][i] = RunEverywhere(cfgs, c)
 			}
 		}(ci)
 	}

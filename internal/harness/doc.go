@@ -10,14 +10,13 @@
 //
 // # Record / fold split
 //
-// Each table runner is three deterministic pieces: a case list
+// Each table campaign is three deterministic pieces: a case list
 // regenerated from the campaign parameters (including the
 // execution-backed acceptance filters of Tables 4/5), a per-case record
 // (a serializable summary of that case's observations), and a fold that
 // assembles records — always in case order — into the rendered table.
-// The public entry points (ClassifyConfigurations, EMIBenchmarkCampaign,
-// CLsmithCampaign, EMICampaign) stream the whole case list; the shard
-// driver runs an interleaved slice of it:
+// Params names the campaign, and every run of one goes through the
+// shard functions:
 //
 //   - RunShardOpts executes cases i, i+n, i+2n, … and emits a ShardFile
 //     — the machine-readable partial-results format behind
@@ -26,8 +25,9 @@
 //     supervisor) validate that a set of shard files covers every case
 //     exactly once and fold them into output byte-identical to the
 //     unsharded run;
-//   - RenderCampaign is the unsharded path, implemented as a one-shard
-//     run plus a merge so the two flows cannot diverge.
+//   - RenderCampaign is the unsharded path, and the only table path in
+//     one process, implemented as a one-shard run plus a merge so the two
+//     flows cannot diverge.
 //
 // determinism_test.go and shard_test.go pin the invariants byte for
 // byte under -race — cached vs uncached compilation and results,
@@ -35,8 +35,8 @@
 // tree engines — with the executor's immutable-program assertion
 // (exec.SetDebugImmutable) armed.
 //
-// Entry points: RunOn / RunEverywhere for single cases, the four
-// campaign runners, RunShardOpts / MergeShardPaths / RenderCampaign for
+// Entry points: RunOn / RunEverywhere for single cases, RenderCampaign
+// for a whole table or fuzz campaign, RunShardOpts / MergeShardPaths for
 // sharding, and the RenderTable* formatters that print the paper's
 // layouts.
 package harness

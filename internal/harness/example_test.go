@@ -33,7 +33,7 @@ kernel void k(global ulong *out) {
 			return exec.Args{"out": {Buf: out}}, out
 		},
 	}
-	results := harness.RunEverywhere(device.All(), c, 0)
+	results := harness.RunEverywhere(device.All(), c)
 	ok := 0
 	for _, r := range results {
 		if r.Outcome == device.OK {

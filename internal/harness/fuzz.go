@@ -56,10 +56,9 @@ func FuzzChains(eng *campaign.Engine, p Params) []*corpus.Chain {
 	out := make([]*corpus.Chain, p.chainCount())
 	for ci := range out {
 		cc := corpus.ChainConfig{
-			Index:    ci,
-			Seed:     p.Seed + int64(ci)*1000003,
-			Threads:  p.Threads,
-			BaseFuel: p.BaseFuel,
+			Index:   ci,
+			Seed:    p.Seed + int64(ci)*1000003,
+			Threads: p.Threads,
 			// Coverage is defined on the defect-free reference
 			// interpreter, so a simulated compiler defect never
 			// truncates a step's footprint. Crash outcomes on the

@@ -31,8 +31,8 @@ func Key(cfg *device.Config, optimize bool) string {
 // optimization level through the shared campaign engine (compile caches,
 // cross-base result cache). It is the single-shot entry point used by
 // cldiff, the reducer and the examples.
-func RunOn(cfg *device.Config, optimize bool, c Case, baseFuel int64) oracle.Result {
-	r := campaign.Default.RunCase(cfg, optimize, c, campaign.LaunchOptions{BaseFuel: baseFuel})
+func RunOn(cfg *device.Config, optimize bool, c Case) oracle.Result {
+	r := campaign.Default.RunCase(cfg, optimize, c, campaign.LaunchOptions{})
 	return r.AsOracle()
 }
 
@@ -40,14 +40,14 @@ func RunOn(cfg *device.Config, optimize bool, c Case, baseFuel int64) oracle.Res
 // re-lexed, re-parsed, re-checked and re-optimized, and the kernel
 // re-executed, for this call. It is the reference path the cache
 // determinism tests compare against.
-func RunOnUncached(cfg *device.Config, optimize bool, c Case, baseFuel int64) oracle.Result {
+func RunOnUncached(cfg *device.Config, optimize bool, c Case) oracle.Result {
 	key := Key(cfg, optimize)
 	cr := cfg.CompileUncached(c.Src, optimize)
 	if cr.Outcome != device.OK {
 		return oracle.Result{Key: key, Outcome: cr.Outcome}
 	}
 	args, result := c.Buffers()
-	rr := cr.Kernel.Run(c.ND, args, result, device.RunOptions{BaseFuel: baseFuel})
+	rr := cr.Kernel.Run(c.ND, args, result, device.RunOptions{})
 	return oracle.Result{Key: key, Outcome: rr.Outcome, Output: rr.Output}
 }
 
@@ -55,19 +55,18 @@ func RunOnUncached(cfg *device.Config, optimize bool, c Case, baseFuel int64) or
 // every configuration at both optimization levels, in configuration
 // order with the unoptimized level first. ctx (nil for run-to-
 // completion) cancels the matrix's launches cooperatively.
-func matrixFor(ctx context.Context, cfgs []*device.Config, c Case, baseFuel int64) campaign.Matrix {
+func matrixFor(ctx context.Context, cfgs []*device.Config, c Case) campaign.Matrix {
 	units := make([]campaign.Unit, 0, 2*len(cfgs))
 	for _, cfg := range cfgs {
 		units = append(units, campaign.Unit{Cfg: cfg, Opt: false}, campaign.Unit{Cfg: cfg, Opt: true})
 	}
 	return campaign.Matrix{
-		Name:     c.Name,
-		Sources:  []string{c.Src},
-		ND:       c.ND,
-		Buffers:  func(int) (exec.Args, *exec.Buffer) { return c.Buffers() },
-		BaseFuel: baseFuel,
-		Units:    units,
-		Ctx:      ctx,
+		Name:    c.Name,
+		Sources: []string{c.Src},
+		ND:      c.ND,
+		Buffers: func(int) (exec.Args, *exec.Buffer) { return c.Buffers() },
+		Units:   units,
+		Ctx:     ctx,
 	}
 }
 
@@ -75,12 +74,8 @@ func matrixFor(ctx context.Context, cfgs []*device.Config, c Case, baseFuel int6
 // levels, in parallel, returning results keyed per Key. The case source is
 // parsed exactly once; each (configuration, level) pair runs only the
 // cheap per-configuration back end, deduplicated by defect model.
-func RunEverywhere(cfgs []*device.Config, c Case, baseFuel int64) []oracle.Result {
-	return runEverywhereEng(campaign.Default, cfgs, c, baseFuel, 1)
-}
-
-func runEverywhereEng(eng *campaign.Engine, cfgs []*device.Config, c Case, baseFuel int64, width int) []oracle.Result {
-	rs := eng.RunMatrix(matrixFor(nil, cfgs, c, baseFuel), width)
+func RunEverywhere(cfgs []*device.Config, c Case) []oracle.Result {
+	rs := campaign.Default.RunMatrix(matrixFor(nil, cfgs, c), 1)
 	out := make([]oracle.Result, len(rs))
 	for i, r := range rs {
 		out[i] = r.AsOracle()
@@ -91,7 +86,7 @@ func runEverywhereEng(eng *campaign.Engine, cfgs []*device.Config, c Case, baseF
 // RunEverywhereUncached is RunEverywhere with every cache bypassed: each
 // (configuration, level) pair re-parses, re-compiles and re-executes the
 // source, as the seed harness did. Used by the determinism tests.
-func RunEverywhereUncached(cfgs []*device.Config, c Case, baseFuel int64) []oracle.Result {
+func RunEverywhereUncached(cfgs []*device.Config, c Case) []oracle.Result {
 	type job struct {
 		cfg *device.Config
 		opt bool
@@ -102,48 +97,42 @@ func RunEverywhereUncached(cfgs []*device.Config, c Case, baseFuel int64) []orac
 	}
 	results := make([]oracle.Result, len(jobs))
 	campaign.Stream(nil, len(jobs), func(i int) oracle.Result {
-		return RunOnUncached(jobs[i].cfg, jobs[i].opt, c, baseFuel)
+		return RunOnUncached(jobs[i].cfg, jobs[i].opt, c)
 	}, func(i int, r oracle.Result) { results[i] = r })
 	return results
 }
 
-// GenerateAccepted generates kernels in the given mode until n pass the
+// generateAccepted generates kernels in the given mode until n pass the
 // acceptance filter the paper used (§7.3): each test must compile and
 // terminate without crash or timeout on the generating configuration
 // (config 1 with optimizations, the GTX Titan). Acceptance runs go
 // through the campaign engine, so the campaign proper reuses them via
 // the result cache.
-func GenerateAccepted(mode generator.Mode, n int, seed int64, maxThreads int, emiBlocks func(i int) int, baseFuel int64) []*generator.Kernel {
-	return generateAccepted(campaign.Default, mode, n, seed, maxThreads, emiBlocks, baseFuel)
+func generateAccepted(eng *campaign.Engine, mode generator.Mode, n int, seed int64, maxThreads int) []*generator.Kernel {
+	gen1 := device.ByID(1)
+	return firstAccepted(n, seed, func(s int64) *generator.Kernel {
+		return generator.Generate(generator.Options{Mode: mode, Seed: s, MaxTotalThreads: maxThreads})
+	}, func(k *generator.Kernel) bool {
+		return eng.RunCase(gen1, true, CaseFromKernel(k, ""), campaign.LaunchOptions{}).Outcome == device.OK
+	})
 }
 
-func generateAccepted(eng *campaign.Engine, mode generator.Mode, n int, seed int64, maxThreads int, emiBlocks func(i int) int, baseFuel int64) []*generator.Kernel {
-	gen1 := device.ByID(1)
+// firstAccepted generates candidates from consecutive seeds, starting at
+// seed, and returns the first n that accept keeps, in seed order.
+// Generation is cheap and acceptance runs are the cost, so candidates
+// are judged in parallel rounds of max(still needed, 4); keeping them in
+// seed order makes the result independent of the batching.
+func firstAccepted(n int, seed int64, gen func(seed int64) *generator.Kernel, accept func(*generator.Kernel) bool) []*generator.Kernel {
 	var out []*generator.Kernel
-	// Generation is cheap; acceptance runs are the cost. Batch candidates
-	// in parallel rounds until enough are accepted (candidates are
-	// accepted in candidate order, so the result is independent of the
-	// batching).
 	next := seed
 	for len(out) < n {
-		batch := n - len(out)
-		if batch < 4 {
-			batch = 4
-		}
-		cands := make([]*generator.Kernel, batch)
+		cands := make([]*generator.Kernel, max(n-len(out), 4))
 		for i := range cands {
-			eb := 0
-			if emiBlocks != nil {
-				eb = emiBlocks(int(next))
-			}
-			cands[i] = generator.Generate(generator.Options{
-				Mode: mode, Seed: next, MaxTotalThreads: maxThreads, EMIBlocks: eb,
-			})
+			cands[i] = gen(next)
 			next++
 		}
-		campaign.Stream(nil, batch, func(i int) bool {
-			r := eng.RunCase(gen1, true, CaseFromKernel(cands[i], ""), campaign.LaunchOptions{BaseFuel: baseFuel})
-			return r.Outcome == device.OK
+		campaign.Stream(nil, len(cands), func(i int) bool {
+			return accept(cands[i])
 		}, func(i int, ok bool) {
 			if ok && len(out) < n {
 				out = append(out, cands[i])

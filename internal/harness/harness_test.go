@@ -1,13 +1,35 @@
-package harness_test
+package harness
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
+	"clfuzz/internal/campaign"
 	"clfuzz/internal/device"
 	"clfuzz/internal/generator"
-	"clfuzz/internal/harness"
 	"clfuzz/internal/oracle"
 )
+
+// campaignRecords runs the campaign named by p as a single shard through
+// the shared engine, the path RenderCampaign takes, and returns its
+// decoded records in case order for the table's fold.
+func campaignRecords[R any](t *testing.T, p Params) []R {
+	t.Helper()
+	sf, err := runShard(nil, campaign.Default, p, 0, 1, ShardRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raws := make([]json.RawMessage, len(sf.Records))
+	for i, r := range sf.Records {
+		raws[i] = r.Data
+	}
+	recs, err := decodeRecords[R](raws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
 
 // TestClassification runs a scaled-down §7.1 initial campaign and checks
 // that the configuration classification matches the paper's Table 1 final
@@ -24,7 +46,8 @@ func TestClassification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
 	}
-	rows := harness.ClassifyConfigurations(12, 7, 64, device.DefaultFuel)
+	recs := campaignRecords[t1Record](t, Params{Table: 1, Scale: 12, Seed: 7, Threads: 64})
+	rows := foldTable1(device.All(), recs)
 	var mismatched []int
 	for _, r := range rows {
 		if !r.MatchesPaper {
@@ -45,12 +68,12 @@ func TestDifferentialTestingFindsWrongCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
 	}
-	cfgs := append([]*device.Config{device.Reference()}, harness.AboveThresholdConfigs()...)
+	cfgs := append([]*device.Config{device.Reference()}, AboveThresholdConfigs()...)
 	wrongs := 0
 	for seed := int64(0); seed < 30; seed++ {
 		k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 9000 + seed, MaxTotalThreads: 48})
-		c := harness.CaseFromKernel(k, "diff")
-		rs := harness.RunEverywhere(cfgs, c, device.DefaultFuel)
+		c := CaseFromKernel(k, "diff")
+		rs := RunEverywhere(cfgs, c)
 		for _, key := range oracle.WrongCode(rs) {
 			if key == "0-" || key == "0+" {
 				t.Fatalf("seed %d: majority vote blamed the reference configuration", seed)
@@ -60,5 +83,47 @@ func TestDifferentialTestingFindsWrongCode(t *testing.T) {
 	}
 	if wrongs == 0 {
 		t.Log("no wrong-code results in this small sample (acceptable; rates are low per kernel)")
+	}
+}
+
+// TestGenerateAccepted: the §7.3 acceptance filter (compiles and
+// terminates on 1+) holds for every produced kernel.
+func TestGenerateAccepted(t *testing.T) {
+	kernels := generateAccepted(campaign.Default, generator.ModeBasic, 5, 77, 32)
+	if len(kernels) != 5 {
+		t.Fatalf("got %d kernels, want 5", len(kernels))
+	}
+	gen1 := device.ByID(1)
+	for i, k := range kernels {
+		r := RunOn(gen1, true, CaseFromKernel(k, "a"))
+		if r.Outcome != device.OK {
+			t.Errorf("kernel %d fails the acceptance configuration: %s", i, r.Outcome)
+		}
+	}
+}
+
+// TestTable4Small runs a minimal intensive campaign and checks its
+// structural invariants: counts per cell sum to the test count, and the
+// defect-free rows exist.
+func TestTable4Small(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test")
+	}
+	recs := campaignRecords[t4Record](t, Params{Table: 4, Scale: 3, Seed: 555, Threads: 32})
+	t4 := foldTable4(AboveThresholdConfigs(), 3, recs)
+	for _, mode := range generator.Modes {
+		n := t4.Tests[mode]
+		if n != 3 {
+			t.Errorf("%s: %d tests, want 3", mode, n)
+		}
+		for key, st := range t4.PerMode[mode] {
+			if got := st.W + st.BF + st.C + st.TO + st.OK; got != n {
+				t.Errorf("%s %s: outcomes sum to %d, want %d", mode, key, got, n)
+			}
+		}
+	}
+	out := RenderTable4(t4)
+	if !strings.Contains(out, "BARRIER") || !strings.Contains(out, "19+") {
+		t.Error("rendered table missing expected rows/columns")
 	}
 }

@@ -29,8 +29,7 @@ type Params struct {
 	Scale int   `json:"scale"`
 	Seed  int64 `json:"seed"`
 	// Threads caps generated-kernel thread counts (unused by Table 3).
-	Threads  int   `json:"threads"`
-	BaseFuel int64 `json:"base_fuel,omitempty"`
+	Threads int `json:"threads"`
 	// Chains is the number of independent fuzzing chains of the
 	// coverage-guided campaign (Table 6 / cltables -fuzz); 0 means the
 	// default of 4. Ignored by the paper tables.
@@ -116,7 +115,7 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 		return &shardCampaign{
 			cases: n,
 			run: func(ctx context.Context, i int) any {
-				return table1Record(ctx, eng, cfgs, p.Scale, p.Seed, p.Threads, p.BaseFuel, i, n)
+				return table1Record(ctx, eng, cfgs, p.Scale, p.Seed, p.Threads, i, n)
 			},
 			failed: func() any { return table1Failed(cfgs) },
 			render: func(records []json.RawMessage) (string, error) {
@@ -134,7 +133,7 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 		return &shardCampaign{
 			cases: len(clean),
 			run: func(ctx context.Context, i int) any {
-				return table3Record(ctx, eng, testCfgs, clean[i], variants, p.Seed, p.BaseFuel, len(clean))
+				return table3Record(ctx, eng, testCfgs, clean[i], variants, p.Seed, len(clean))
 			},
 			failed: func() any { return table3Failed(testCfgs) },
 			render: func(records []json.RawMessage) (string, error) {
@@ -151,13 +150,13 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 		// folds records and must not pay for (or require) the acceptance
 		// executions.
 		kernels := sync.OnceValue(func() [][]*generator.Kernel {
-			return table4Kernels(eng, p.Scale, p.Seed, p.Threads, p.BaseFuel)
+			return table4Kernels(eng, p.Scale, p.Seed, p.Threads)
 		})
 		n := len(generator.Modes) * p.Scale
 		return &shardCampaign{
 			cases: n,
 			run: func(ctx context.Context, i int) any {
-				return table4Record(ctx, eng, cfgs, kernels(), p.Scale, p.BaseFuel, i, n)
+				return table4Record(ctx, eng, cfgs, kernels(), p.Scale, i, n)
 			},
 			failed: func() any { return table4Failed(cfgs) },
 			render: func(records []json.RawMessage) (string, error) {
@@ -174,12 +173,12 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 		// generateEMIBases returns exactly Scale bases; regenerate them
 		// lazily so a merge folds without re-running the keep-filter.
 		bases := sync.OnceValue(func() []*generator.Kernel {
-			return generateEMIBases(eng, p.Scale, p.Seed, p.Threads, p.BaseFuel)
+			return generateEMIBases(eng, p.Scale, p.Seed, p.Threads)
 		})
 		return &shardCampaign{
 			cases: p.Scale,
 			run: func(ctx context.Context, i int) any {
-				return table5Record(ctx, eng, cfgs, keys, bases()[i], p.BaseFuel, p.Scale)
+				return table5Record(ctx, eng, cfgs, keys, bases()[i], p.Scale)
 			},
 			failed: func() any { return table5Failed(keys) },
 			render: func(records []json.RawMessage) (string, error) {
@@ -206,17 +205,6 @@ func decodeRecords[R any](records []json.RawMessage) ([]R, error) {
 		}
 	}
 	return out, nil
-}
-
-// CampaignCases returns the total case count of the campaign named by p
-// without executing anything — the shard supervisor sizes its partition
-// with it.
-func CampaignCases(p Params) (int, error) {
-	sc, err := campaignFor(campaign.Default, p)
-	if err != nil {
-		return 0, err
-	}
-	return sc.cases, nil
 }
 
 // ShardRunOptions tunes RunShardOpts beyond the defaults.

@@ -72,12 +72,14 @@ func table1Kernel(perMode int, seed int64, maxThreads, i int) *generator.Kernel 
 
 func table1Cases(perMode int) int { return len(generator.Modes) * perMode }
 
-// table1Record runs case i's full configuration matrix through the
+// table1Record runs case i of the §7.1 initial campaign — every
+// configuration, with and without optimizations, over the initial
+// kernel set (the paper used 600 kernels, 100 per mode) — through the
 // campaign engine (model-deduplicated, result-cached).
-func table1Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, perMode int, seed int64, maxThreads int, baseFuel int64, i, width int) t1Record {
+func table1Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, perMode int, seed int64, maxThreads int, i, width int) t1Record {
 	k := table1Kernel(perMode, seed, maxThreads, i)
 	c := CaseFromKernel(k, fmt.Sprintf("init-%d", i))
-	rs := eng.RunMatrix(matrixFor(ctx, cfgs, c, baseFuel), width)
+	rs := eng.RunMatrix(matrixFor(ctx, cfgs, c), width)
 	rec := t1Record{Results: make([]t1Result, len(rs))}
 	for j, r := range rs {
 		rec.Results[j] = t1Result{
@@ -105,7 +107,9 @@ func table1Failed(cfgs []*device.Config) t1Record {
 }
 
 // foldTable1 classifies the configurations from the per-kernel records
-// (in case order), reproducing the §7.1 thresholding.
+// (in case order), reproducing the §7.1 thresholding. Wrong-code results
+// are judged by disagreement with the majority over all observations of
+// a kernel.
 func foldTable1(cfgs []*device.Config, records []t1Record) []Table1Row {
 	fail := map[string]int{}
 	slow := map[int]int{}
@@ -156,26 +160,6 @@ func foldTable1(cfgs []*device.Config, records []t1Record) []Table1Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// ClassifyConfigurations runs the §7.1 initial campaign: every
-// configuration, with and without optimizations, over the initial kernel
-// set (the paper used 600 kernels, 100 per mode), classifying each
-// configuration against the reliability threshold. Wrong-code results are
-// judged by disagreement with the majority over all observations of a
-// kernel.
-func ClassifyConfigurations(perMode int, seed int64, maxThreads int, baseFuel int64) []Table1Row {
-	return classifyConfigurations(campaign.Default, perMode, seed, maxThreads, baseFuel)
-}
-
-func classifyConfigurations(eng *campaign.Engine, perMode int, seed int64, maxThreads int, baseFuel int64) []Table1Row {
-	cfgs := device.All()
-	n := table1Cases(perMode)
-	records := make([]t1Record, n)
-	campaign.Stream(nil, n, func(i int) t1Record {
-		return table1Record(nil, eng, cfgs, perMode, seed, maxThreads, baseFuel, i, n)
-	}, func(i int, r t1Record) { records[i] = r })
-	return foldTable1(cfgs, records)
 }
 
 func keyID(key string) int {

@@ -122,10 +122,14 @@ func benchBuffers(eng *campaign.Engine, bench *benchmarks.Benchmark, src string)
 	}
 }
 
-// table3Record runs one benchmark's full EMI campaign — reference
-// expected output, empty-block "ng" checks, and the injected variant
-// matrix — and folds its row of cells.
-func table3Record(ctx context.Context, eng *campaign.Engine, testCfgs []*device.Config, bench *benchmarks.Benchmark, variantsPerBench int, seed int64, baseFuel int64, width int) t3Record {
+// table3Record runs one benchmark's full §7.2 EMI campaign and folds its
+// row of cells: per configuration, the worst outcome over EMI-injected
+// variants (substitutions on and off, both optimization levels, several
+// injection seeds and prunings), each compared against the expected
+// output. The expected output comes from the reference interpreter; a
+// configuration that cannot reproduce it with an empty EMI block scores
+// "ng".
+func table3Record(ctx context.Context, eng *campaign.Engine, testCfgs []*device.Config, bench *benchmarks.Benchmark, variantsPerBench int, seed int64, width int) t3Record {
 	ref := device.Reference()
 	// Build the variant set once: per seed, substitutions on/off, with
 	// a pruning applied to half of them. Each variant source is shared
@@ -174,13 +178,12 @@ func table3Record(ctx context.Context, eng *campaign.Engine, testCfgs []*device.
 	refUnit := len(units)
 	units = append(units, campaign.Unit{Src: benchSrc, Cfg: ref, Opt: true})
 	results := eng.RunMatrix(campaign.Matrix{
-		Name:     bench.Name,
-		Sources:  sources,
-		ND:       bench.ND,
-		Buffers:  func(src int) (exec.Args, *exec.Buffer) { return buffers[src]() },
-		BaseFuel: baseFuel,
-		Units:    units,
-		Ctx:      ctx,
+		Name:    bench.Name,
+		Sources: sources,
+		ND:      bench.ND,
+		Buffers: func(src int) (exec.Args, *exec.Buffer) { return buffers[src]() },
+		Units:   units,
+		Ctx:     ctx,
 	}, width)
 	rec := t3Record{Cells: map[string]Table3Cell{}}
 	// Reference expected output (empty EMI block == original kernel). A
@@ -271,27 +274,6 @@ func foldTable3(records []t3Record) *Table3 {
 		}
 	}
 	return t
-}
-
-// EMIBenchmarkCampaign reproduces §7.2: for each race-free benchmark and
-// each configuration, derive EMI-injected variants (substitutions on and
-// off, both optimization levels, several injection seeds and prunings),
-// compare each against the configuration's own empty-EMI-block output, and
-// record the worst outcome. The expected output comes from the reference
-// interpreter; a configuration that cannot reproduce it with an empty EMI
-// block scores "ng".
-func EMIBenchmarkCampaign(variantsPerBench int, seed int64, baseFuel int64) *Table3 {
-	return emiBenchmarkCampaign(campaign.Default, variantsPerBench, seed, baseFuel)
-}
-
-func emiBenchmarkCampaign(eng *campaign.Engine, variantsPerBench int, seed int64, baseFuel int64) *Table3 {
-	testCfgs := table3Configs()
-	clean := benchmarks.Clean()
-	records := make([]t3Record, len(clean))
-	campaign.Stream(nil, len(clean), func(i int) t3Record {
-		return table3Record(nil, eng, testCfgs, clean[i], variantsPerBench, seed, baseFuel, len(clean))
-	}, func(i int, r t3Record) { records[i] = r })
-	return foldTable3(records)
 }
 
 // injectedVariant parses the benchmark source, injects EMI blocks

@@ -59,20 +59,22 @@ type t4Record struct {
 // shard recomputes it (the acceptance filter is execution-backed and so
 // must run everywhere), but the result cache makes the campaign proper
 // reuse the acceptance runs.
-func table4Kernels(eng *campaign.Engine, perMode int, seed int64, maxThreads int, baseFuel int64) [][]*generator.Kernel {
+func table4Kernels(eng *campaign.Engine, perMode int, seed int64, maxThreads int) [][]*generator.Kernel {
 	out := make([][]*generator.Kernel, len(generator.Modes))
 	for mi, mode := range generator.Modes {
-		out[mi] = generateAccepted(eng, mode, perMode, seed+int64(mi)*1000003, maxThreads, nil, baseFuel)
+		out[mi] = generateAccepted(eng, mode, perMode, seed+int64(mi)*1000003, maxThreads)
 	}
 	return out
 }
 
-// table4Record runs case i (mode-major over the accepted kernels).
-func table4Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, kernels [][]*generator.Kernel, perMode int, baseFuel int64, i, width int) t4Record {
+// table4Record runs case i of §7.3 (mode-major over the accepted
+// kernels): one kernel across the above-threshold configurations at both
+// optimization levels.
+func table4Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, kernels [][]*generator.Kernel, perMode int, i, width int) t4Record {
 	mi, ki := i/perMode, i%perMode
 	k := kernels[mi][ki]
 	c := CaseFromKernel(k, fmt.Sprintf("%s-%d", generator.Modes[mi], ki))
-	rs := eng.RunMatrix(matrixFor(ctx, cfgs, c, baseFuel), width)
+	rs := eng.RunMatrix(matrixFor(ctx, cfgs, c), width)
 	rec := t4Record{Results: make([]t1Result, len(rs))}
 	for j, r := range rs {
 		rec.Results[j] = t1Result{Key: r.Key, Outcome: int(r.Outcome), Output: r.Output}
@@ -136,25 +138,6 @@ func foldTable4(cfgs []*device.Config, perMode int, records []t4Record) *Table4 
 		t.PerMode[mode] = cell
 	}
 	return t
-}
-
-// CLsmithCampaign reproduces §7.3: for each mode, generate perMode kernels
-// accepted by the generating configuration (1+), run them across the
-// above-threshold configurations at both optimization levels, and tally
-// outcomes with majority-vote wrong-code classification.
-func CLsmithCampaign(perMode int, seed int64, maxThreads int, baseFuel int64) *Table4 {
-	return clsmithCampaign(campaign.Default, perMode, seed, maxThreads, baseFuel)
-}
-
-func clsmithCampaign(eng *campaign.Engine, perMode int, seed int64, maxThreads int, baseFuel int64) *Table4 {
-	cfgs := AboveThresholdConfigs()
-	kernels := table4Kernels(eng, perMode, seed, maxThreads, baseFuel)
-	n := len(generator.Modes) * perMode
-	records := make([]t4Record, n)
-	campaign.Stream(nil, n, func(i int) t4Record {
-		return table4Record(nil, eng, cfgs, kernels, perMode, baseFuel, i, n)
-	}, func(i int, r t4Record) { records[i] = r })
-	return foldTable4(cfgs, perMode, records)
 }
 
 // RenderTable4 formats the campaign like the paper's Table 4.

@@ -42,12 +42,12 @@ type t5Record struct {
 	Pruning []int                  `json:"pruning"`
 }
 
-// table5Record derives base i's 40-variant pruning grid, runs every
+// table5Record derives base i's 40-variant pruning grid (§7.4), runs every
 // (variant, configuration, level) unit through the campaign engine —
 // units sharing a printed source and a defect model execute once, and
 // text shared with other bases or the acceptance runs hits the result
 // cache — and classifies the base.
-func table5Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, keys []string, base *generator.Kernel, baseFuel int64, width int) t5Record {
+func table5Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Config, keys []string, base *generator.Kernel, width int) t5Record {
 	grid := emi.Grid()
 	rec := t5Record{PerKey: map[string]Table5Stats{}, Pruning: make([]int, len(grid))}
 	prog, err := parser.Parse(base.Src)
@@ -76,13 +76,12 @@ func table5Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Conf
 		}
 	}
 	results := eng.RunMatrix(campaign.Matrix{
-		Name:     fmt.Sprintf("emi-base-%d", base.Seed),
-		Sources:  variants,
-		ND:       base.ND,
-		Buffers:  func(int) (exec.Args, *exec.Buffer) { return base.Buffers() },
-		BaseFuel: baseFuel,
-		Units:    units,
-		Ctx:      ctx,
+		Name:    fmt.Sprintf("emi-base-%d", base.Seed),
+		Sources: variants,
+		ND:      base.ND,
+		Buffers: func(int) (exec.Args, *exec.Buffer) { return base.Buffers() },
+		Units:   units,
+		Ctx:     ctx,
 	}, width)
 	// Classify per configuration-level.
 	perKey := map[string][]campaign.UnitResult{}
@@ -194,26 +193,6 @@ func table5Keys(cfgs []*device.Config) []string {
 	return keys
 }
 
-// EMICampaign reproduces §7.4: generate base kernels in ALL mode with 1-5
-// EMI blocks, discard bases whose EMI blocks all sit in already-dead code
-// (checked by inverting the dead array on the generating configuration),
-// derive the 40-variant pruning grid per base, run every variant on every
-// above-threshold configuration at both levels, and classify per base.
-func EMICampaign(bases int, seed int64, maxThreads int, baseFuel int64) *Table5 {
-	return emiCampaign(campaign.Default, bases, seed, maxThreads, baseFuel)
-}
-
-func emiCampaign(eng *campaign.Engine, bases int, seed int64, maxThreads int, baseFuel int64) *Table5 {
-	cfgs := AboveThresholdConfigs()
-	keys := table5Keys(cfgs)
-	baseKernels := generateEMIBases(eng, bases, seed, maxThreads, baseFuel)
-	records := make([]t5Record, len(baseKernels))
-	campaign.Stream(nil, len(baseKernels), func(i int) t5Record {
-		return table5Record(nil, eng, cfgs, keys, baseKernels[i], baseFuel, len(baseKernels))
-	}, func(i int, r t5Record) { records[i] = r })
-	return foldTable5(keys, len(baseKernels), records)
-}
-
 func majorityOutput(vs []campaign.UnitResult) []uint64 {
 	best := []uint64(nil)
 	bestN := 0
@@ -240,41 +219,26 @@ func majorityOutput(vs []campaign.UnitResult) []uint64 {
 // at an already-dead point). The straight acceptance run goes through the
 // campaign engine, so the campaign's unpruned variants reuse it via the
 // result cache.
-func generateEMIBases(eng *campaign.Engine, n int, seed int64, maxThreads int, baseFuel int64) []*generator.Kernel {
+func generateEMIBases(eng *campaign.Engine, n int, seed int64, maxThreads int) []*generator.Kernel {
 	gen1 := device.ByID(1)
-	var out []*generator.Kernel
-	next := seed
-	for len(out) < n {
-		batch := n - len(out) + 4
-		cands := make([]*generator.Kernel, batch)
-		for i := range cands {
-			cands[i] = generator.Generate(generator.Options{
-				Mode: generator.ModeAll, Seed: next, MaxTotalThreads: maxThreads,
-				EMIBlocks: 1 + int(next%5),
-			})
-			next++
-		}
-		campaign.Stream(nil, batch, func(i int) bool {
-			k := cands[i]
-			opts := campaign.LaunchOptions{BaseFuel: baseFuel}
-			rr := eng.RunCase(gen1, true, CaseFromKernel(k, ""), opts)
-			if rr.Outcome != device.OK {
-				return false
-			}
-			ir := eng.RunCase(gen1, true, Case{Src: k.Src, ND: k.ND, Buffers: k.InvertedDeadBuffers}, opts)
-			if ir.Outcome != device.OK {
-				// Inversion makes the blocks live; divergence in outcome
-				// still proves the blocks are reachable when live.
-				return true
-			}
-			return !oracle.Equal(rr.Output, ir.Output)
-		}, func(i int, ok bool) {
-			if ok && len(out) < n {
-				out = append(out, cands[i])
-			}
+	return firstAccepted(n, seed, func(s int64) *generator.Kernel {
+		return generator.Generate(generator.Options{
+			Mode: generator.ModeAll, Seed: s, MaxTotalThreads: maxThreads,
+			EMIBlocks: 1 + int(s%5),
 		})
-	}
-	return out
+	}, func(k *generator.Kernel) bool {
+		rr := eng.RunCase(gen1, true, CaseFromKernel(k, ""), campaign.LaunchOptions{})
+		if rr.Outcome != device.OK {
+			return false
+		}
+		ir := eng.RunCase(gen1, true, Case{Src: k.Src, ND: k.ND, Buffers: k.InvertedDeadBuffers}, campaign.LaunchOptions{})
+		if ir.Outcome != device.OK {
+			// Inversion makes the blocks live; divergence in outcome
+			// still proves the blocks are reachable when live.
+			return true
+		}
+		return !oracle.Equal(rr.Output, ir.Output)
+	})
 }
 
 // RenderTable5 formats the campaign like the paper's Table 5.

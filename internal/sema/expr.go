@@ -12,12 +12,6 @@ var predefined = map[string]uint64{
 	"CLK_GLOBAL_MEM_FENCE": 2,
 }
 
-// PredefinedConst returns the value of a predefined constant name.
-func PredefinedConst(name string) (uint64, bool) {
-	v, ok := predefined[name]
-	return v, ok
-}
-
 // checkExpr type-checks an expression and returns a freshly built,
 // annotated node (vector member accesses become swizzles). The input node
 // is never written to; already-typed literals are shared as-is.
