@@ -1,6 +1,7 @@
 // Clsmith generates random deterministic OpenCL kernels in the paper's six
 // modes (§4) and writes them as .cl files alongside a .nd file recording
-// the randomized launch geometry.
+// the randomized launch geometry in the form clrun and cldiff take as
+// -nd (GXxGYxGZ/LXxLYxLZ).
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"clfuzz/internal/exec"
 	"clfuzz/internal/generator"
 )
 
@@ -44,10 +46,7 @@ func main() {
 		if err := os.WriteFile(base+".cl", []byte(k.Src), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		nd := fmt.Sprintf("global %d %d %d\nlocal %d %d %d\n",
-			k.ND.Global[0], k.ND.Global[1], k.ND.Global[2],
-			k.ND.Local[0], k.ND.Local[1], k.ND.Local[2])
-		if err := os.WriteFile(base+".nd", []byte(nd), 0o644); err != nil {
+		if err := os.WriteFile(base+".nd", []byte(exec.FormatNDRange(k.ND)+"\n"), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s.cl  (mode %s, NDRange %v / %v)\n", base, m, k.ND.Global, k.ND.Local)

@@ -205,9 +205,10 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskTierCorruptEntry truncates the stored entry and requires the
-// launch to re-execute (a recorded miss, never an error) and heal the
-// store by writing the entry back.
+// TestDiskTierCorruptEntry truncates the store's segment files to half
+// their length, cutting the stored entry short, and requires the launch
+// to re-execute (a recorded miss, never an error) and heal the store by
+// writing the entry back.
 func TestDiskTierCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := store.Open(dir)
@@ -217,11 +218,11 @@ func TestDiskTierCorruptEntry(t *testing.T) {
 	c := testCase("corrupt")
 	first := warm.RunCase(cfg, true, c, LaunchOptions{})
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*", "*"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no store entries found: %v", err)
+	segments, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(segments) == 0 {
+		t.Fatalf("no store segments found: %v", err)
 	}
-	for _, p := range entries {
+	for _, p := range segments {
 		raw, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)

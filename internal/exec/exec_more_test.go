@@ -360,7 +360,8 @@ func TestGridValidation(t *testing.T) {
 }
 
 // TestParseNDRange: the -nd flag form parses into a validated NDRange,
-// and every invalid geometry is refused before any launch sees it.
+// every invalid geometry is refused before any launch sees it, and a
+// formatted geometry parses back as itself.
 func TestParseNDRange(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -385,6 +386,12 @@ func TestParseNDRange(t *testing.T) {
 		if c.ok && nd != c.want {
 			t.Errorf("ParseNDRange(%q) = %+v, want %+v", c.in, nd, c.want)
 		}
+	}
+	// What FormatNDRange writes, ParseNDRange reads back as the same
+	// geometry: clsmith's .nd files are valid -nd values.
+	nd := exec.NDRange{Global: [3]int{12, 3, 1}, Local: [3]int{4, 1, 1}}
+	if back, err := exec.ParseNDRange(exec.FormatNDRange(nd)); err != nil || back != nd {
+		t.Errorf("ParseNDRange(FormatNDRange(%+v)) = %+v, %v", nd, back, err)
 	}
 }
 

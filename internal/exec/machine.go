@@ -40,19 +40,27 @@ func (n NDRange) Validate() error {
 	return nil
 }
 
+// ndForm is the launch geometry's text form, GXxGYxGZ/LXxLYxLZ: the
+// command-line tools take it as -nd, and clsmith writes it to .nd files.
+const ndForm = "%dx%dx%d/%dx%dx%d"
+
 // ParseNDRange parses and validates a launch geometry written
-// GXxGYxGZ/LXxLYxLZ, the form the command-line tools take as -nd. Text
-// that does not print back as itself is refused: Sscanf alone would
-// ignore anything after the sixth number.
+// GXxGYxGZ/LXxLYxLZ. Text that does not print back as itself is
+// refused: Sscanf alone would ignore anything after the sixth number.
 func ParseNDRange(s string) (NDRange, error) {
-	const form = "%dx%dx%d/%dx%dx%d"
 	var nd NDRange
 	g, l := &nd.Global, &nd.Local
-	if _, err := fmt.Sscanf(s, form, &g[0], &g[1], &g[2], &l[0], &l[1], &l[2]); err != nil ||
-		fmt.Sprintf(form, g[0], g[1], g[2], l[0], l[1], l[2]) != s {
+	if _, err := fmt.Sscanf(s, ndForm, &g[0], &g[1], &g[2], &l[0], &l[1], &l[2]); err != nil ||
+		FormatNDRange(nd) != s {
 		return NDRange{}, fmt.Errorf("exec: NDRange %q is not GXxGYxGZ/LXxLYxLZ", s)
 	}
 	return nd, nd.Validate()
+}
+
+// FormatNDRange writes n in the form ParseNDRange reads.
+func FormatNDRange(n NDRange) string {
+	g, l := n.Global, n.Local
+	return fmt.Sprintf(ndForm, g[0], g[1], g[2], l[0], l[1], l[2])
 }
 
 // GlobalLinear returns the total number of threads.

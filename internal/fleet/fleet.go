@@ -295,10 +295,16 @@ func (s *supervisor) launch(ctx context.Context, shard, attempt int, rep *Report
 // attempt runs one worker process to completion and validates its
 // output file. Any failure — spawn error, nonzero exit, kill, missing,
 // truncated, mismatched or incomplete output — is one failed attempt.
+// On Unix the worker leads a process group of its own, and whatever it
+// started is killed with the group once it has exited, so a worker that
+// is a wrapper script, killed on timeout, leaves no child running.
 func (s *supervisor) attempt(ctx context.Context, shard int) error {
 	out := s.shardPath(shard)
 	cmd := s.cfg.Worker(ctx, shard, s.cfg.Shards, out)
-	if err := cmd.Run(); err != nil {
+	ownGroup(cmd)
+	err := cmd.Run()
+	killGroup(cmd)
+	if err != nil {
 		return fmt.Errorf("shard %d: worker: %w", shard, err)
 	}
 	sf, err := harness.LoadShardFile(out)
