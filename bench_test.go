@@ -14,7 +14,6 @@ import (
 
 	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/device"
-	"clfuzz/internal/exec"
 	"clfuzz/internal/exhibits"
 	"clfuzz/internal/generator"
 	"clfuzz/internal/harness"
@@ -275,6 +274,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation skews allocation counts")
 	}
+	saved := device.TreeEngine
+	device.TreeEngine = false
+	t.Cleanup(func() { device.TreeEngine = saved })
 	k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 5, MaxTotalThreads: 64})
 	ref := device.Reference()
 	cr := ref.Compile(k.Src, true)
@@ -283,7 +285,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	launch := func() {
 		args, result := k.Buffers()
-		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{Engine: exec.EngineVM}); rr.Outcome != device.OK {
+		if rr := cr.Kernel.Run(k.ND, args, result, device.RunOptions{}); rr.Outcome != device.OK {
 			t.Fatal(rr.Msg)
 		}
 	}

@@ -119,19 +119,6 @@ func main() {
 			}
 		}()
 	}
-	diskStore, err := campaign.EnableStore(*storeDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if diskStore != nil {
-		defer func() {
-			dh, dm := campaign.Default.Results.DiskStats()
-			st := diskStore.Stats()
-			log.Printf("store summary: dir=%s disk-hits=%d disk-misses=%d corrupt=%d writes=%d write-errs=%d",
-				diskStore.Dir(), dh, dm, st.Corrupt, st.Writes, st.WriteErrs)
-		}()
-	}
-
 	// SIGINT/SIGTERM cancel cooperatively: campaigns stop dispatching,
 	// in-flight cases finish, and shard workers flush a resumable partial
 	// file before exiting.
@@ -161,14 +148,6 @@ func main() {
 		return harness.Params{Table: t, Scale: *scale, Seed: *seed, Threads: *threads, Chains: *chains, Fresh: *fresh}
 	}
 
-	if *shard != "" {
-		if *table == 0 {
-			log.Fatal("-shard requires -table or -fuzz")
-		}
-		runWorker(ctx, params(*table), *shard, *out)
-		return
-	}
-
 	if *fleetN > 0 {
 		if *table == 0 || *table == 2 {
 			log.Fatal("-fleet requires -table 1, 3, 4 or 5, or -fuzz (table 2 has no campaign)")
@@ -183,6 +162,30 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
+		return
+	}
+
+	// Only a process that runs cases opens the store: a merge or a fleet
+	// supervisor above runs none (the supervisor hands -store to its
+	// workers).
+	diskStore, err := campaign.EnableStore(*storeDir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if diskStore != nil {
+		defer func() {
+			dh, dm := campaign.Default.Results.DiskStats()
+			st := diskStore.Stats()
+			log.Printf("store summary: dir=%s disk-hits=%d disk-misses=%d corrupt=%d writes=%d write-errs=%d",
+				diskStore.Dir(), dh, dm, st.Corrupt, st.Writes, st.WriteErrs)
+		}()
+	}
+
+	if *shard != "" {
+		if *table == 0 {
+			log.Fatal("-shard requires -table or -fuzz")
+		}
+		runWorker(ctx, params(*table), *shard, *out)
 		return
 	}
 
@@ -219,9 +222,9 @@ func main() {
 // the valid partial file (then exits nonzero so a supervisor counts the
 // attempt as failed). CLFUZZ_FAULT faults fire from the per-case hook.
 func runWorker(ctx context.Context, p harness.Params, shardSpec, out string) {
-	var si, sn int
-	if _, err := fmt.Sscanf(shardSpec, "%d/%d", &si, &sn); err != nil {
-		log.Fatalf("bad -shard %q: want i/n", shardSpec)
+	si, sn, err := harness.ParseShard(shardSpec)
+	if err != nil {
+		log.Fatalf("bad -shard: %v", err)
 	}
 	opts := harness.ShardRunOptions{}
 	if out != "" {

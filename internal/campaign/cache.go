@@ -2,11 +2,11 @@ package campaign
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
+	"clfuzz/internal/memo"
 	"clfuzz/internal/store"
 )
 
@@ -14,16 +14,16 @@ import (
 // on: the printed-source hash, the full defect model (the launch-time
 // gates read the level's divisors and the source hash; the level's fuel
 // factor fixes the step budget), the effective optimization setting,
-// the resolved evaluation engine (outputs are pinned byte-identical
-// across engines, but keying on it keeps the engine-comparison suites
-// honest), and a digest of the entire machine state the launch reads —
-// NDRange, argument names, scalar values, buffer types and initial
-// contents, and the result-buffer binding.
+// the engine the kernel runs on (vm: it carries bytecode; outputs are
+// pinned byte-identical across engines, but keying on it keeps the
+// engine-comparison suites honest), and a digest of the entire machine
+// state the launch reads — NDRange, argument names, scalar values,
+// buffer types and initial contents, and the result-buffer binding.
 type resultKey struct {
 	srcHash uint64
 	lvl     device.Level
 	effOpt  bool
-	engine  exec.Engine
+	vm      bool
 	digest  uint64
 	// cover separates covered from uncovered launches: only entries
 	// written by a covered run carry the coverage delta a covered hit
@@ -40,10 +40,9 @@ type coverDelta struct {
 	sites [exec.CoverNumSites]uint64
 }
 
+// resultEntry is one memoized launch. The memory tier guards it with the
+// canonical source, so a 64-bit source-hash collision is a miss.
 type resultEntry struct {
-	// src guards against 64-bit source-hash collisions: a mismatch is
-	// treated as a miss (collisions cost performance, never correctness).
-	src string
 	res UnitResult
 	cov coverDelta
 }
@@ -56,20 +55,15 @@ type resultEntry struct {
 // campaign proper, EMI prunings that reproduce another base's text, and
 // repeated benchmark or exhibit verifications all hit here.
 //
-// Eviction is FIFO over insertion order, which keeps the cache
-// deterministic under any interleaving of lookups for the same key set
-// (the memoized value for a key never varies, so campaign outputs do
-// not depend on hit/miss patterns).
+// The memory tier is a memo.FIFO: eviction follows insertion order,
+// which keeps the cache deterministic under any interleaving of lookups
+// for the same key set (the memoized value for a key never varies, so
+// campaign outputs do not depend on hit/miss patterns).
 type ResultCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[resultKey]resultEntry
-	fifo    []resultKey
-	hits    uint64
-	misses  uint64
+	mem *memo.FIFO[resultKey, resultEntry]
 
 	// disk is the optional persistent tier (AttachStore): memory misses
-	// fall through to it, disk hits are promoted into memory, and every
+	// fall through to it, disk hits are added to memory, and every
 	// memory insert is written through. The counters below are the
 	// campaign-level view — a disk "hit" here means the payload also
 	// survived key, semantics-tag and source verification.
@@ -80,10 +74,7 @@ type ResultCache struct {
 
 // NewResultCache returns a cache bounded to capacity entries (minimum 1).
 func NewResultCache(capacity int) *ResultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ResultCache{cap: capacity, entries: make(map[resultKey]resultEntry)}
+	return &ResultCache{mem: memo.New[resultKey, resultEntry](capacity)}
 }
 
 // get returns a detached copy of the memoized result for the key, plus
@@ -91,102 +82,57 @@ func NewResultCache(capacity int) *ResultCache {
 // written by uncovered runs, which only uncovered lookups can reach —
 // the key's cover bit separates the populations).
 func (rc *ResultCache) get(k resultKey, src string) (UnitResult, coverDelta, bool) {
-	rc.mu.Lock()
-	e, ok := rc.entries[k]
-	if ok && e.src == src {
-		rc.hits++
-		rc.mu.Unlock()
-		r := e.res
-		if r.Output != nil {
-			r.Output = append([]uint64(nil), r.Output...)
+	e, ok := rc.mem.Get(k, src)
+	if !ok && rc.disk != nil {
+		// The disk probe is file I/O outside any lock; two concurrent
+		// probes for the same key are benign (identical payloads). A hit
+		// goes into memory without being written back.
+		if e, ok = rc.diskGet(k, src); ok {
+			rc.diskHits.Add(1)
+			rc.mem.Add(k, src, e)
+		} else {
+			rc.diskMisses.Add(1)
 		}
-		r.Cached = true
-		return r, e.cov, true
 	}
-	rc.misses++
-	rc.mu.Unlock()
-	if rc.disk == nil {
-		return UnitResult{}, coverDelta{}, false
-	}
-	// Disk probe runs outside the lock: store reads are file I/O, and two
-	// concurrent probes for the same key are benign (identical payloads).
-	r, cov, ok := rc.diskGet(k, src)
 	if !ok {
-		rc.diskMisses.Add(1)
 		return UnitResult{}, coverDelta{}, false
 	}
-	rc.diskHits.Add(1)
-	rc.promote(k, src, r, cov)
+	r := e.res
 	if r.Output != nil {
 		r.Output = append([]uint64(nil), r.Output...)
 	}
 	r.Cached = true
-	return r, cov, true
-}
-
-// promote inserts a disk-tier hit into the memory tier without writing
-// it back to disk (it just came from there).
-func (rc *ResultCache) promote(k resultKey, src string, r UnitResult, cov coverDelta) {
-	r.Cached = false
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, ok := rc.entries[k]; ok {
-		return
-	}
-	if len(rc.fifo) >= rc.cap {
-		oldest := rc.fifo[0]
-		rc.fifo = rc.fifo[1:]
-		delete(rc.entries, oldest)
-	}
-	rc.entries[k] = resultEntry{src: src, res: r, cov: cov}
-	rc.fifo = append(rc.fifo, k)
+	return r, e.cov, true
 }
 
 // coverMismatch reports whether the memory tier holds this launch's
 // result under the opposite cover bit — the one skip the key split makes
 // invisible: the work was done, but for the other coverage population.
 func (rc *ResultCache) coverMismatch(k resultKey, src string) bool {
-	twin := k
-	twin.cover = !twin.cover
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e, ok := rc.entries[twin]
-	return ok && e.src == src
+	k.cover = !k.cover
+	return rc.mem.Has(k, src)
 }
 
 // put records a result under the key, detaching the output slice so
-// later caller mutations cannot corrupt the memo.
+// later caller mutations cannot corrupt the memo, and writes it through
+// to the disk tier unless the memory tier already held the key.
 func (rc *ResultCache) put(k resultKey, src string, r UnitResult, cov coverDelta) {
 	r.Cached = false
 	if r.Output != nil {
 		r.Output = append([]uint64(nil), r.Output...)
 	}
-	rc.mu.Lock()
-	if _, ok := rc.entries[k]; ok {
-		rc.mu.Unlock()
-		return
-	}
-	if len(rc.fifo) >= rc.cap {
-		oldest := rc.fifo[0]
-		rc.fifo = rc.fifo[1:]
-		delete(rc.entries, oldest)
-	}
-	rc.entries[k] = resultEntry{src: src, res: r, cov: cov}
-	rc.fifo = append(rc.fifo, k)
-	rc.mu.Unlock()
-	if rc.disk != nil {
-		// Write-through outside the lock: persistence is I/O-bound and
-		// must never block concurrent memory-tier lookups. FIFO eviction
-		// above only trims the memory tier; the disk entry outlives it.
-		rc.diskPut(k, src, r, cov)
+	e := resultEntry{res: r, cov: cov}
+	if rc.mem.Add(k, src, e) && rc.disk != nil {
+		// FIFO eviction only trims the memory tier; the disk entry
+		// outlives it.
+		rc.diskPut(k, src, e)
 	}
 }
 
-// Stats reports cumulative hit/miss counts and the current entry count.
+// Stats reports the memory tier's cumulative hit/miss counts and its
+// current entry count.
 func (rc *ResultCache) Stats() (hits, misses uint64, size int) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.hits, rc.misses, len(rc.entries)
+	return rc.mem.Stats()
 }
 
 // DiskStats reports the campaign-level disk-tier counters: hits that
@@ -197,15 +143,11 @@ func (rc *ResultCache) DiskStats() (hits, misses uint64) {
 	return rc.diskHits.Load(), rc.diskMisses.Load()
 }
 
-// resultKeyFor builds the cache key for one launch, reporting false when
+// resultKeyFor builds the cache key for one launch of k, reporting false when
 // the launch is not cacheable: any aggregate- or vector-element argument
 // buffer keeps per-element cell trees whose contents the digest does not
 // cover, so such launches always execute.
-func resultKeyFor(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exec.NDRange, args exec.Args, result *exec.Buffer, o LaunchOptions, cover bool) (resultKey, bool) {
-	engine := o.Engine
-	if engine == exec.EngineAuto {
-		engine = device.DefaultEngine
-	}
+func resultKeyFor(k *device.Kernel, nd exec.NDRange, args exec.Args, result *exec.Buffer, cover bool) (resultKey, bool) {
 	d := digest{h: 14695981039346656037}
 	for _, g := range nd.Global {
 		d.word(uint64(g))
@@ -246,10 +188,10 @@ func resultKeyFor(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exe
 		}
 	}
 	return resultKey{
-		srcHash: fe.Hash,
-		lvl:     cfg.Level(optimize),
-		effOpt:  optimize && !cfg.NoOptimizer,
-		engine:  engine,
+		srcHash: k.Hash,
+		lvl:     k.Config.Level(k.Optimized),
+		effOpt:  k.Optimized && !k.Config.NoOptimizer,
+		vm:      k.Code != nil,
 		digest:  d.h,
 		cover:   cover,
 	}, true

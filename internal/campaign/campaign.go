@@ -186,8 +186,6 @@ type LaunchOptions struct {
 	// CheckRaces enables the undefined-behaviour checker; checked runs
 	// bypass the result cache (their diagnostics depend on the checker).
 	CheckRaces bool
-	// Engine forces the evaluation engine for this run.
-	Engine exec.Engine
 	// Ctx cancels the launch cooperatively: a cancelled context skips the
 	// compile/execute chain (or stops an in-flight execution at the next
 	// work-group boundary) and yields a device.Canceled result, which is
@@ -247,7 +245,7 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		e.skipRace.Add(1)
 	}
 	if e.Results != nil && !o.CheckRaces {
-		rk, cacheable = resultKeyFor(cfg, optimize, fe, nd, args, result, o, cover != nil)
+		rk, cacheable = resultKeyFor(cr.Kernel, nd, args, result, cover != nil)
 		if !cacheable {
 			e.skipNonFlat.Add(1)
 		}
@@ -278,7 +276,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 	}
 	rr := cr.Kernel.Run(nd, args, result, device.RunOptions{
 		CheckRaces: o.CheckRaces,
-		Engine:     o.Engine,
 		Ctx:        o.Ctx,
 		Cover:      launchCov,
 		Pool:       e.Pool,

@@ -9,10 +9,17 @@ import (
 	"clfuzz/internal/exec"
 )
 
+// pinVM compiles and runs the rest of the test on the VM whatever
+// CLFUZZ_ENGINE selected for the process: only the VM collects coverage,
+// and the tests below must hold under CLFUZZ_ENGINE=tree too.
+func pinVM(t *testing.T) {
+	saved := device.TreeEngine
+	device.TreeEngine = false
+	t.Cleanup(func() { device.TreeEngine = saved })
+}
+
 // coverCase branches on runtime values (the thread id), so its branches
-// survive constant folding and the VM has edges to report. The tests
-// below pin their launches to the VM (Engine: exec.EngineVM): only the VM
-// collects coverage, and they must hold under CLFUZZ_ENGINE=tree too.
+// survive constant folding and the VM has edges to report.
 func coverCase(name string) Case {
 	nd := exec.NDRange{Global: [3]int{8, 1, 1}, Local: [3]int{4, 1, 1}}
 	return Case{
@@ -40,11 +47,12 @@ kernel void k(global ulong *out) {
 // uncovered one — coverage is observation only — while actually
 // populating the map.
 func TestCoverageNeutralLaunch(t *testing.T) {
+	pinVM(t)
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	cfg := device.Reference()
-	plain := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Engine: exec.EngineVM})
+	plain := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{})
 	cov := new(exec.CoverMap)
-	covered := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Engine: exec.EngineVM, Cover: cov})
+	covered := eng.RunCase(cfg, true, coverCase("plain"), LaunchOptions{Cover: cov})
 	if covered.Outcome != plain.Outcome || covered.Msg != plain.Msg {
 		t.Fatalf("coverage changed the verdict: (%v, %q) vs (%v, %q)",
 			covered.Outcome, covered.Msg, plain.Outcome, plain.Msg)
@@ -67,14 +75,15 @@ func TestCoverageNeutralLaunch(t *testing.T) {
 // serve a covered request (it would silently lose the coverage delta)
 // and vice versa.
 func TestCoverResultCacheIsolation(t *testing.T) {
+	pinVM(t)
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	cfg := device.Reference()
 	c := coverCase("isolate")
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM}); r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{}); r.Cached {
 		t.Fatal("first uncovered run hit the cache")
 	}
 	covA := new(exec.CoverMap)
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM, Cover: covA}); r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Cover: covA}); r.Cached {
 		t.Fatal("first covered run was served from the uncovered entry")
 	}
 	if covA.Count() == 0 {
@@ -82,7 +91,7 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 	}
 	// A covered hit must replay the memoized delta into the caller's map.
 	covB := new(exec.CoverMap)
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM, Cover: covB}); !r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{Cover: covB}); !r.Cached {
 		t.Fatal("second covered run missed the cache")
 	}
 	edgesA, edgesB := covA.Edges(), covB.Edges()
@@ -98,7 +107,7 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 		t.Fatalf("replayed site hits %v, executed %v", covB.SiteHits(), covA.SiteHits())
 	}
 	// And the uncovered entry still serves uncovered requests.
-	if r := eng.RunCase(cfg, true, c, LaunchOptions{Engine: exec.EngineVM}); !r.Cached {
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached {
 		t.Fatal("uncovered entry was lost")
 	}
 	if _, _, size := eng.Results.Stats(); size != 2 {
@@ -110,15 +119,16 @@ func TestCoverResultCacheIsolation(t *testing.T) {
 // coverage when no per-launch override is given, across cache hits and
 // misses alike.
 func TestEngineWideCoverAccumulates(t *testing.T) {
+	pinVM(t)
 	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
 	eng.Cover = new(exec.CoverMap)
 	cfg := device.Reference()
-	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{Engine: exec.EngineVM})
+	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{})
 	afterMiss := eng.Cover.Count()
 	if afterMiss == 0 {
 		t.Fatal("engine-wide map empty after an executed launch")
 	}
-	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{Engine: exec.EngineVM})
+	eng.RunCase(cfg, true, coverCase("wide"), LaunchOptions{})
 	if got := eng.Cover.Count(); got != afterMiss {
 		t.Fatalf("cache-hit replay changed the distinct-edge count: %d vs %d", got, afterMiss)
 	}
@@ -143,9 +153,7 @@ kernel void k(global ulong *out) {
 // matrix collects the same edges and site hits into the engine-wide map
 // at GOMAXPROCS 1 and 4. The VM is pinned (only it collects coverage).
 func TestFailingLaunchCoverageHostIndependent(t *testing.T) {
-	saved := device.DefaultEngine
-	device.DefaultEngine = exec.EngineVM
-	t.Cleanup(func() { device.DefaultEngine = saved })
+	pinVM(t)
 	nd := exec.NDRange{Global: [3]int{16, 1, 1}, Local: [3]int{4, 1, 1}}
 	run := func(procs int) *exec.CoverMap {
 		// Set GOMAXPROCS for this run and restore the previous value.

@@ -29,17 +29,17 @@ func EnableStore(dir string) (*store.Store, error) {
 	return s, nil
 }
 
-// diskEntry is the JSON payload persisted per result: the semantics tag
-// and every field of the logical key (so a 64-bit address collision or a
-// stale tag is detected and treated as a miss), the canonical source
-// text (the same collision guard the in-memory tiers use), the unit
-// result, and the launch's coverage delta for covered entries.
+// diskEntry is the JSON payload persisted per result: the semantics tag,
+// which names the engine, and every other field of the logical key (so a
+// 64-bit address collision or a stale tag is detected and treated as a
+// miss), the canonical source text (the same collision guard the
+// in-memory tiers use), the unit result, and the launch's coverage delta
+// for covered entries.
 type diskEntry struct {
 	Sem     string `json:"sem"`
 	SrcHash uint64 `json:"srcHash"`
 	LvlKey  uint64 `json:"lvlKey"`
 	EffOpt  bool   `json:"effOpt"`
-	Engine  uint8  `json:"engine"`
 	Digest  uint64 `json:"digest"`
 	Cover   bool   `json:"cover"`
 
@@ -83,7 +83,6 @@ func (k resultKey) addr(sem string) uint64 {
 	if k.effOpt {
 		d.word(1)
 	}
-	d.word(uint64(k.engine))
 	d.word(k.digest)
 	if k.cover {
 		d.word(1)
@@ -92,8 +91,8 @@ func (k resultKey) addr(sem string) uint64 {
 }
 
 // AttachStore wires a disk tier beneath the in-memory result cache.
-// Memory misses fall through to the store; disk hits are promoted into
-// the memory tier, and memory-tier inserts are written through. Safe to
+// Memory misses fall through to the store; disk hits are added to the
+// memory tier, and memory-tier inserts are written through. Safe to
 // call once before the cache is shared; nil detaches.
 func (rc *ResultCache) AttachStore(s *store.Store) {
 	rc.disk = s
@@ -106,49 +105,46 @@ func (rc *ResultCache) Disk() *store.Store { return rc.disk }
 // failure, stale semantics tag, address collision on another key, source
 // collision on another text — is a miss; the blob-level corruption
 // counting already happened inside store.Get.
-func (rc *ResultCache) diskGet(k resultKey, src string) (UnitResult, coverDelta, bool) {
-	sem := exec.SemanticsTag(k.engine)
+func (rc *ResultCache) diskGet(k resultKey, src string) (resultEntry, bool) {
+	sem := exec.SemanticsTag(k.vm)
 	payload, ok := rc.disk.Get(k.addr(sem))
 	if !ok {
-		return UnitResult{}, coverDelta{}, false
+		return resultEntry{}, false
 	}
 	var e diskEntry
 	if json.Unmarshal(payload, &e) != nil {
-		return UnitResult{}, coverDelta{}, false
+		return resultEntry{}, false
 	}
 	if e.Sem != sem || e.SrcHash != k.srcHash || e.LvlKey != k.lvlDigest() ||
-		e.EffOpt != k.effOpt || e.Engine != uint8(k.engine) ||
-		e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
-		return UnitResult{}, coverDelta{}, false
+		e.EffOpt != k.effOpt || e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
+		return resultEntry{}, false
 	}
-	r := UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output}
-	var cov coverDelta
-	cov.edges = e.CovEdges
-	if len(e.CovSites) == len(cov.sites) {
-		copy(cov.sites[:], e.CovSites)
+	r := resultEntry{res: UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output}}
+	r.cov.edges = e.CovEdges
+	if len(e.CovSites) == len(r.cov.sites) {
+		copy(r.cov.sites[:], e.CovSites)
 	}
-	return r, cov, true
+	return r, true
 }
 
 // diskPut writes one entry through to the store.
-func (rc *ResultCache) diskPut(k resultKey, src string, r UnitResult, cov coverDelta) {
-	sem := exec.SemanticsTag(k.engine)
+func (rc *ResultCache) diskPut(k resultKey, src string, r resultEntry) {
+	sem := exec.SemanticsTag(k.vm)
 	e := diskEntry{
 		Sem:     sem,
 		SrcHash: k.srcHash,
 		LvlKey:  k.lvlDigest(),
 		EffOpt:  k.effOpt,
-		Engine:  uint8(k.engine),
 		Digest:  k.digest,
 		Cover:   k.cover,
 		Src:     src,
-		Outcome: int(r.Outcome),
-		Msg:     r.Msg,
-		Output:  r.Output,
+		Outcome: int(r.res.Outcome),
+		Msg:     r.res.Msg,
+		Output:  r.res.Output,
 	}
 	if k.cover {
-		e.CovEdges = cov.edges
-		e.CovSites = cov.sites[:]
+		e.CovEdges = r.cov.edges
+		e.CovSites = r.cov.sites[:]
 	}
 	payload, err := json.Marshal(e)
 	if err != nil {

@@ -180,3 +180,59 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 		t.Errorf("no execution was shared: %d launches for %d representatives", launched, reached)
 	}
 }
+
+// TestVMSharesAsTreeEngine: launch sharing keys on the compiled program,
+// not on its bytecode, so the VM shares every execution the tree engine
+// shares. The kernel is barrier-free and the folds and the optimizer
+// leave it unchanged, so every configuration at one level compiles it to
+// one program, although several fold-stage keys, each with its own
+// lowering, reach it. The matrix runs the reference and all 21
+// configurations at one level, representatives one at a time, once with
+// the process pinned to each engine: both must execute equally often and
+// agree on every unit. (Keyed on the bytecode too, the VM executed 3 and
+// 5 times where the tree engine executed once and twice.)
+func TestVMSharesAsTreeEngine(t *testing.T) {
+	nd := exec.NDRange{Global: [3]int{4, 1, 1}, Local: [3]int{2, 1, 1}}
+	src := `
+kernel void k(global ulong *out) {
+    ulong id = get_global_id(0);
+    out[id] = id * 3UL + 1UL;
+}
+`
+	cfgs := append([]*device.Config{device.Reference()}, device.All()...)
+	saved := device.TreeEngine
+	t.Cleanup(func() { device.TreeEngine = saved })
+	for _, opt := range []bool{false, true} {
+		var units []campaign.Unit
+		for _, cfg := range cfgs {
+			units = append(units, campaign.Unit{Cfg: cfg, Opt: opt})
+		}
+		m := campaign.Matrix{
+			Name:    "vm-shares",
+			Sources: []string{src},
+			ND:      nd,
+			Buffers: func(int) (exec.Args, *exec.Buffer) { return outArgs(nd)() },
+			Units:   units,
+		}
+		run := func(tree bool) ([]campaign.UnitResult, int64) {
+			device.TreeEngine = tree
+			eng := &campaign.Engine{Front: device.NewFrontCache(4)}
+			rs := eng.RunMatrix(m, runtime.GOMAXPROCS(0))
+			_, launched := eng.Counters()
+			return rs, launched
+		}
+		vm, vmLaunched := run(false)
+		tree, treeLaunched := run(true)
+		t.Logf("optimize=%v: %d VM and %d tree-engine executions for %d units", opt, vmLaunched, treeLaunched, len(units))
+		if vmLaunched != treeLaunched {
+			t.Errorf("optimize=%v: the VM executed %d times, the tree engine %d", opt, vmLaunched, treeLaunched)
+		}
+		for i, u := range units {
+			v, w := vm[i], tree[i]
+			if v.Outcome != w.Outcome || v.Msg != w.Msg || !slices.Equal(v.Output, w.Output) {
+				t.Errorf("%s: vm (%v, %q, %v), tree (%v, %q, %v)",
+					campaign.Key(u.Cfg, u.Opt), v.Outcome, v.Msg, v.Output, w.Outcome, w.Msg, w.Output)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clfuzz/internal/device"
-	"clfuzz/internal/exec"
 	"clfuzz/internal/generator"
 )
 
@@ -25,6 +24,11 @@ func FuzzLowerMatchesTree(f *testing.F) {
 		generator.ModeBasic, generator.ModeVector, generator.ModeBarrier, generator.ModeAll,
 	}
 	cfgs := device.All()
+	// Compile on the VM whatever CLFUZZ_ENGINE selected, so every kernel
+	// carries bytecode; a copy without it runs on the tree walker.
+	saved := device.TreeEngine
+	device.TreeEngine = false
+	f.Cleanup(func() { device.TreeEngine = saved })
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool, emi uint8) {
 		k := generator.Generate(generator.Options{
 			Mode:            modes[int(mode)%len(modes)],
@@ -40,12 +44,14 @@ func FuzzLowerMatchesTree(f *testing.F) {
 		if cr.Outcome != device.OK {
 			return
 		}
-		run := func(e exec.Engine) device.RunResult {
+		run := func(kn *device.Kernel) device.RunResult {
 			args, result := k.Buffers()
-			return cr.Kernel.Run(k.ND, args, result, device.RunOptions{Engine: e})
+			return kn.Run(k.ND, args, result, device.RunOptions{})
 		}
-		want := run(exec.EngineTree)
-		got := run(exec.EngineVM)
+		tree := *cr.Kernel
+		tree.Code = nil
+		want := run(&tree)
+		got := run(cr.Kernel)
 		if got.Outcome != want.Outcome {
 			t.Fatalf("outcome: vm %v, tree %v (msg %q vs %q)\n%s", got.Outcome, want.Outcome, got.Msg, want.Msg, k.Src)
 		}

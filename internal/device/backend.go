@@ -1,12 +1,12 @@
 package device
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"clfuzz/internal/ast"
 	"clfuzz/internal/bugs"
 	"clfuzz/internal/code"
+	"clfuzz/internal/memo"
 	"clfuzz/internal/opt"
 	"clfuzz/internal/sema"
 )
@@ -54,7 +54,6 @@ type checkedKey struct {
 // checkedEntry is a memoized sema product: the annotated program and its
 // summary, or the build diagnostic that rejected the source.
 type checkedEntry struct {
-	src    string
 	prog   *ast.Program
 	info   *sema.Info
 	errMsg string
@@ -71,7 +70,6 @@ type progKey struct {
 // progEntry is a memoized fold/optimize/lower product: the program and
 // its bytecode, or the lowering diagnostic that rejected the program.
 type progEntry struct {
-	src    string
 	prog   *ast.Program
 	code   *code.Program
 	errMsg string
@@ -123,16 +121,15 @@ func lowerProgram(prog *ast.Program) (*code.Program, error) {
 // compile. Programs for different fold inputs share all untouched
 // subtrees (the passes are copy-on-write).
 //
-// Eviction is FIFO over insertion order in both stages, like the
-// FrontCache: the memoized artifact for a key never varies, so campaign
-// outputs do not depend on hit/miss patterns.
+// Both stages are memo.FIFOs, like the FrontCache: eviction follows
+// insertion order, and the memoized artifact for a key never varies, so
+// campaign outputs do not depend on hit/miss patterns. Every entry is
+// guarded by the canonical source, so a 64-bit source-hash collision is
+// a miss whose product is not recorded: it costs performance, never
+// correctness.
 type BackCache struct {
-	mu      sync.Mutex
-	cap     int
-	checked map[checkedKey]*checkedEntry
-	ckFifo  []checkedKey // insertion order, oldest first
-	progs   map[progKey]*progEntry
-	pgFifo  []progKey
+	checked *memo.FIFO[checkedKey, *checkedEntry]
+	progs   *memo.FIFO[progKey, *progEntry]
 	calls   atomic.Uint64
 	misses  atomic.Uint64
 }
@@ -140,13 +137,9 @@ type BackCache struct {
 // NewBackCache returns a cache whose two stage memos hold at most
 // capacity entries each (minimum 1).
 func NewBackCache(capacity int) *BackCache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &BackCache{
-		cap:     capacity,
-		checked: make(map[checkedKey]*checkedEntry),
-		progs:   make(map[progKey]*progEntry),
+		checked: memo.New[checkedKey, *checkedEntry](capacity),
+		progs:   memo.New[progKey, *progEntry](capacity),
 	}
 }
 
@@ -183,36 +176,17 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 }
 
 // checkedFor returns the memoized sema product for the key, checking the
-// pristine front end on a miss; missed reports that sema ran. The stored
-// source guards against the (theoretical) 64-bit source-hash collision:
-// a mismatch is a miss whose product is not recorded, so collisions cost
-// performance, never correctness.
+// pristine front end on a miss; missed reports that sema ran.
 func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) (ce *checkedEntry, missed bool) {
-	bc.mu.Lock()
-	e, ok := bc.checked[key]
-	bc.mu.Unlock()
-	if ok && e.src == fe.Canon {
+	if e, ok := bc.checked.Get(key, fe.Canon); ok {
 		return e, false
 	}
-	collided := ok // present but for a different source: never record
 	prog, info, err := sema.Check(fe.Prog, key.defects)
-	ne := &checkedEntry{src: fe.Canon, prog: prog, info: info}
+	ne := &checkedEntry{prog: prog, info: info}
 	if err != nil {
 		ne.prog, ne.info, ne.errMsg = nil, nil, err.Error()
 	}
-	if !collided {
-		bc.mu.Lock()
-		if _, ok := bc.checked[key]; !ok {
-			if len(bc.ckFifo) >= bc.cap {
-				oldest := bc.ckFifo[0]
-				bc.ckFifo = bc.ckFifo[1:]
-				delete(bc.checked, oldest)
-			}
-			bc.checked[key] = ne
-			bc.ckFifo = append(bc.ckFifo, key)
-		}
-		bc.mu.Unlock()
-	}
+	bc.checked.Add(key, fe.Canon, ne)
 	return ne, true
 }
 
@@ -220,35 +194,19 @@ func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) (ce *checkedEntry,
 // key, running the copy-on-write pipeline (and the bytecode lowering)
 // over the shared checked program on a miss; missed reports that it ran.
 func (bc *BackCache) progFor(key progKey, fe *FrontEnd, checked *ast.Program) (pe *progEntry, missed bool) {
-	bc.mu.Lock()
-	e, ok := bc.progs[key]
-	bc.mu.Unlock()
-	if ok && e.src == fe.Canon {
+	if e, ok := bc.progs.Get(key, fe.Canon); ok {
 		return e, false
 	}
-	collided := ok
 	prog := opt.EarlyFolds(checked, key.defects, key.hash)
 	if key.optimize {
 		prog = opt.Optimize(prog, key.defects)
 	}
 	cp, err := lowerProgram(prog)
-	ne := &progEntry{src: fe.Canon, prog: prog, code: cp}
+	ne := &progEntry{prog: prog, code: cp}
 	if err != nil {
 		ne.errMsg = err.Error()
 	}
-	if !collided {
-		bc.mu.Lock()
-		if _, ok := bc.progs[key]; !ok {
-			if len(bc.pgFifo) >= bc.cap {
-				oldest := bc.pgFifo[0]
-				bc.pgFifo = bc.pgFifo[1:]
-				delete(bc.progs, oldest)
-			}
-			bc.progs[key] = ne
-			bc.pgFifo = append(bc.pgFifo, key)
-		}
-		bc.mu.Unlock()
-	}
+	bc.progs.Add(key, fe.Canon, ne)
 	return ne, true
 }
 
@@ -260,9 +218,8 @@ func (bc *BackCache) Stats() (hits, misses uint64, size int) {
 	// first keeps hits from underflowing.
 	misses = bc.misses.Load()
 	hits = bc.calls.Load() - misses
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return hits, misses, len(bc.progs)
+	_, _, size = bc.progs.Stats()
+	return hits, misses, size
 }
 
 // DefaultBackCache is the process-wide back-end cache used by

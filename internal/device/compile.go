@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"fmt"
 	"os"
 
 	"clfuzz/internal/ast"
@@ -74,29 +75,36 @@ type Kernel struct {
 	Prog      *ast.Program
 	Info      *sema.Info
 	// Code is the register bytecode lowered from Prog, cached alongside
-	// it in the BackCache. Every successfully compiled kernel has it: a
-	// program that does not lower is a build failure.
+	// it in the BackCache, and nil when the process runs the tree engine
+	// (TreeEngine). Lowering runs on both engines, so a program that does
+	// not lower is a build failure everywhere. A launch runs the VM
+	// exactly when its kernel has Code.
 	Code  *code.Program
 	Hash  uint64
 	level Level
 }
 
-// DefaultEngine is the process-wide engine selection applied when
-// RunOptions.Engine is EngineAuto: by default the register VM runs every
-// kernel. The CLFUZZ_ENGINE environment variable ("tree" or "vm") sets
-// it at startup and is the one engine switch: CI's tree-engine job and
-// the benchmark's reference check run whole processes on the tree-walking
-// reference with CLFUZZ_ENGINE=tree.
-var DefaultEngine = exec.EngineAuto
+// TreeEngine reports that the process runs every kernel on the
+// tree-walking reference instead of the register VM. The CLFUZZ_ENGINE
+// environment variable sets it at startup ("tree"; "vm" or unset leaves
+// the VM) and is the one engine switch: CI's tree-engine job and the
+// benchmark's reference check run whole processes on the reference with
+// CLFUZZ_ENGINE=tree. Compiling attaches bytecode to a kernel exactly
+// when it is false, and the executor runs the VM exactly when a launch
+// carries bytecode. Tests of VM-only contracts pin it for their duration.
+var TreeEngine = treeEngineFromEnv()
 
-func init() {
-	e, err := exec.ParseEngine(os.Getenv("CLFUZZ_ENGINE"))
-	if err != nil {
+func treeEngineFromEnv() bool {
+	switch e := os.Getenv("CLFUZZ_ENGINE"); e {
+	case "", "vm":
+		return false
+	case "tree":
+		return true
+	default:
 		// A misspelled override would otherwise silently run the VM in a
 		// process that believes it is testing the tree reference engine.
-		panic("device: bad CLFUZZ_ENGINE: " + err.Error())
+		panic(fmt.Sprintf("device: bad CLFUZZ_ENGINE %q (want tree or vm)", e))
 	}
-	DefaultEngine = e
 }
 
 // Compile runs the configuration's online compiler on kernel source:
@@ -144,18 +152,18 @@ func (c *Config) compileFE(fe *FrontEnd, optimize bool, bc *BackCache) CompileRe
 	if be.outcome != OK {
 		return CompileResult{Outcome: be.outcome, Msg: be.msg}
 	}
-	return CompileResult{
-		Outcome: OK,
-		Kernel: &Kernel{
-			Config:    c,
-			Optimized: optimize,
-			Prog:      be.prog,
-			Info:      be.info,
-			Code:      be.code,
-			Hash:      fe.Hash,
-			level:     lvl,
-		},
+	k := &Kernel{
+		Config:    c,
+		Optimized: optimize,
+		Prog:      be.prog,
+		Info:      be.info,
+		Hash:      fe.Hash,
+		level:     lvl,
 	}
+	if !TreeEngine {
+		k.Code = be.code
+	}
+	return CompileResult{Outcome: OK, Kernel: k}
 }
 
 // RunResult is the result of executing a compiled kernel.
@@ -177,18 +185,14 @@ type RunOptions struct {
 	// campaigns, as on real devices; on for the reference configuration
 	// when hunting benchmark races).
 	CheckRaces bool
-	// Engine forces the evaluation engine for this run; EngineAuto (the
-	// zero value) defers to DefaultEngine, under which kernels run on the
-	// register VM. Outputs are byte-identical either way.
-	Engine exec.Engine
 	// Ctx cancels the launch cooperatively at work-group boundaries; a
 	// launch stopped this way reports the Canceled outcome. nil runs to
 	// completion.
 	Ctx context.Context
 	// Cover, when non-nil, accumulates VM edge coverage and defect-site
 	// hit counts for this launch. Observation only: outcomes and outputs
-	// are byte-identical with coverage on or off. Launches that resolve
-	// to the tree engine record nothing.
+	// are byte-identical with coverage on or off. A kernel without Code
+	// runs on the tree engine, which records nothing.
 	Cover *exec.CoverMap
 	// Pool selects the executor launch-state pool this run recycles its
 	// working set through; nil uses the executor's process-wide pool.
@@ -219,10 +223,6 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	if ff <= 0 {
 		ff = 1
 	}
-	engine := ro.Engine
-	if engine == exec.EngineAuto {
-		engine = DefaultEngine
-	}
 	opts := exec.Options{
 		Defects:    lvl.Defects,
 		Hash:       k.Hash,
@@ -235,10 +235,7 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		HasFwdDecl: k.Info.HasFwdDecl,
 		Cover:      ro.Cover,
 		Pool:       ro.Pool,
-	}
-	// The executor runs the VM exactly when it is handed bytecode.
-	if engine != exec.EngineTree {
-		opts.Code = k.Code
+		Code:       k.Code,
 	}
 	rr := ro.Share.run(k.Prog, opts, func(opts exec.Options) RunResult {
 		return execute(k.Prog, nd, args, result, opts)

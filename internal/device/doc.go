@@ -18,7 +18,9 @@
 //   - The front end — lexing and parsing — is configuration-independent,
 //     so it runs once per distinct kernel source and is memoized in a
 //     bounded, concurrency-safe FrontCache (DefaultFrontCache) keyed by
-//     the source hash.
+//     the source hash. It and both back-end stages below are built on
+//     internal/memo's bounded FIFO, which guards every entry with its
+//     source text.
 //   - The back end — semantic analysis under the level's defect set,
 //     the compile-time defect gates, the always-on front-end folds, the
 //     optimization pipeline, and lowering to the register bytecode the
@@ -34,10 +36,12 @@
 //
 // Lowering is total: a program internal/code cannot lower is a build
 // failure whose message is the lowering error, on the cached and the
-// uncached path alike, so every runnable Kernel carries bytecode and
-// campaigns run one engine, the VM. The tree-walking reference runs only
-// when CLFUZZ_ENGINE=tree (DefaultEngine) or RunOptions.Engine asks for
-// it.
+// uncached path alike. The engine is a fact of the process, not of a
+// call: CLFUZZ_ENGINE=tree (TreeEngine) makes every compile hand out
+// kernels without bytecode, which the executor runs on the tree-walking
+// reference; otherwise every runnable Kernel carries its Code and runs on
+// the VM. Lowering runs either way, so both engines see the same build
+// failures.
 //
 // Config.Compile combines both levels; CompileFrontEnd reuses an
 // already-parsed front end; CompileUncached bypasses every cache and is

@@ -1,10 +1,9 @@
 package device
 
 import (
-	"sync"
-
 	"clfuzz/internal/ast"
 	"clfuzz/internal/bugs"
+	"clfuzz/internal/memo"
 	"clfuzz/internal/parser"
 )
 
@@ -65,67 +64,39 @@ func CanonicalSource(src string) string {
 // times for the full Table 1 matrix — and the lex/parse work is identical
 // every time; the cache collapses it to one parse per distinct source.
 //
-// Eviction is FIFO over insertion order, which keeps the cache
-// deterministic under any interleaving of Get calls for the same key set
-// (the memoized value for a source never varies, so campaign outputs do
-// not depend on hit/miss patterns).
+// Eviction is FIFO over insertion order (memo.FIFO), which keeps the
+// cache deterministic under any interleaving of Get calls for the same
+// key set (the memoized value for a source never varies, so campaign
+// outputs do not depend on hit/miss patterns).
 type FrontCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[uint64]*FrontEnd
-	fifo    []uint64 // insertion order, oldest first
-	hits    uint64
-	misses  uint64
+	m *memo.FIFO[uint64, *FrontEnd]
 }
 
 // NewFrontCache returns a cache bounded to capacity entries (minimum 1).
 func NewFrontCache(capacity int) *FrontCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FrontCache{cap: capacity, entries: make(map[uint64]*FrontEnd)}
+	return &FrontCache{m: memo.New[uint64, *FrontEnd](capacity)}
 }
 
 // Get returns the memoized front end for src, parsing and recording it on
-// a miss. On the (theoretical) event of a 64-bit hash collision between
-// distinct sources, the cached entry is left alone and a fresh uncached
-// parse is returned, so collisions cost performance, never correctness.
+// a miss. The source text guards every entry: on the (theoretical) event
+// of a 64-bit hash collision between distinct sources, the cached entry
+// is left alone and a fresh parse is returned, so collisions cost
+// performance, never correctness.
 func (fc *FrontCache) Get(src string) *FrontEnd {
 	h := bugs.Hash(src)
-	fc.mu.Lock()
-	if fe, ok := fc.entries[h]; ok {
-		if fe.Src == src {
-			fc.hits++
-			fc.mu.Unlock()
-			return fe
-		}
-		fc.mu.Unlock()
-		return ParseFrontEnd(src)
+	if fe, ok := fc.m.Get(h, src); ok {
+		return fe
 	}
-	fc.misses++
-	fc.mu.Unlock()
-	// Parse outside the lock: parsing is the expensive part, and two
-	// concurrent misses for the same source are benign (identical values).
+	// Two concurrent misses for one source both parse; their values are
+	// identical, and the first Add wins.
 	fe := ParseFrontEnd(src)
-	fc.mu.Lock()
-	if _, ok := fc.entries[h]; !ok {
-		if len(fc.fifo) >= fc.cap {
-			oldest := fc.fifo[0]
-			fc.fifo = fc.fifo[1:]
-			delete(fc.entries, oldest)
-		}
-		fc.entries[h] = fe
-		fc.fifo = append(fc.fifo, h)
-	}
-	fc.mu.Unlock()
+	fc.m.Add(h, src, fe)
 	return fe
 }
 
 // Stats reports cumulative hit/miss counts and the current entry count.
 func (fc *FrontCache) Stats() (hits, misses uint64, size int) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.hits, fc.misses, len(fc.entries)
+	return fc.m.Stats()
 }
 
 // DefaultFrontCache is the process-wide front-end cache used by

@@ -5,7 +5,6 @@ import (
 
 	"clfuzz/internal/ast"
 	"clfuzz/internal/bugs"
-	"clfuzz/internal/code"
 	"clfuzz/internal/exec"
 )
 
@@ -33,12 +32,13 @@ type Share struct {
 
 // sharedRun is one recorded execution.
 type sharedRun struct {
-	// prog and code identify the compiled program: the back end shares
-	// one artifact, and with it the source hash and semantic summary the
+	// prog identifies the compiled program: the back end shares one
+	// artifact, and with it the source hash and semantic summary the
 	// launch reads, between every defect model that compiles the source
-	// identically. code is nil for a tree-engine launch.
+	// identically. Two fold-stage keys that reach one prog may carry two
+	// bytecode lowerings of it; lowering is deterministic, and the process
+	// compiles every kernel under one engine, so prog alone decides.
 	prog *ast.Program
-	code *code.Program
 	// defects and fuel are the launch's defect set and per-thread budget;
 	// tested and used are what it observed of them.
 	defects, tested bugs.Set
@@ -51,7 +51,7 @@ type sharedRun struct {
 // serves reports whether r's verdict is the one a launch of prog with
 // opts would reach.
 func (r *sharedRun) serves(prog *ast.Program, opts *exec.Options) bool {
-	return r.prog == prog && r.code == opts.Code &&
+	return r.prog == prog &&
 		(r.defects^opts.Defects)&r.tested == 0 &&
 		(r.fuel == opts.Fuel || r.used < min(r.fuel, opts.Fuel))
 }
@@ -80,7 +80,7 @@ func (s *Share) run(prog *ast.Program, opts exec.Options, launch func(exec.Optio
 	opts.Stats = &st
 	res := launch(opts)
 	if res.Outcome != Canceled {
-		rec := sharedRun{prog: prog, code: opts.Code, defects: opts.Defects, tested: st.Tested,
+		rec := sharedRun{prog: prog, defects: opts.Defects, tested: st.Tested,
 			fuel: opts.Fuel, used: st.MaxThreadSteps, res: res}
 		rec.res.Output = append([]uint64(nil), res.Output...)
 		s.mu.Lock()

@@ -29,7 +29,7 @@ func runBuiltins(t *testing.T, src string, nd exec.NDRange) (out, ctr []uint64) 
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	run := func(engine exec.Engine) ([]uint64, []uint64, error) {
+	run := func(engine testEngine) ([]uint64, []uint64, error) {
 		ob := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 		cb := exec.NewBuffer(cltypes.TUInt, 4)
 		err := exec.Run(prog, nd, exec.Args{"out": {Buf: ob}, "ctr": {Buf: cb}}, exec.Options{
@@ -39,8 +39,8 @@ func runBuiltins(t *testing.T, src string, nd exec.NDRange) (out, ctr []uint64) 
 		})
 		return ob.Scalars(), cb.Scalars(), err
 	}
-	tOut, tCtr, tErr := run(exec.EngineTree)
-	vOut, vCtr, vErr := run(exec.EngineVM)
+	tOut, tCtr, tErr := run(engineTree)
+	vOut, vCtr, vErr := run(engineVM)
 	if (tErr == nil) != (vErr == nil) || (tErr != nil && tErr.Error() != vErr.Error()) {
 		t.Fatalf("engine error mismatch: tree %v, vm %v", tErr, vErr)
 	}

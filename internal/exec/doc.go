@@ -24,8 +24,9 @@
 //     over the opcode) and one fuel model: each instruction charges its
 //     lowered Cost as it dispatches. Campaigns run it unless the process
 //     selects the reference with CLFUZZ_ENGINE=tree.
-//   - The tree walker (Options.Code == nil; device.Kernel.Run passes no
-//     Code when CLFUZZ_ENGINE=tree) recursively evaluates the AST with
+//   - The tree walker (Options.Code == nil; under CLFUZZ_ENGINE=tree
+//     package device compiles every kernel without Code, so a whole
+//     process runs on it) recursively evaluates the AST with
 //     plain scope-chain lookup by name, a fresh scope per declaring
 //     block and local operands. It is the reference, kept obviously
 //     right rather than fast: the VM's instruction costs mirror its

@@ -16,7 +16,7 @@ import (
 // withholds the front end's NoBarrier guarantee, which puts work-groups
 // of more than one thread on the goroutine-per-thread schedule even when
 // the kernel is barrier-free.
-func launchEngine(t *testing.T, src string, nd exec.NDRange, engine exec.Engine, fuel int64, lockstep bool) ([]uint64, error) {
+func launchEngine(t *testing.T, src string, nd exec.NDRange, engine testEngine, fuel int64, lockstep bool) ([]uint64, error) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -41,11 +41,19 @@ func launchEngine(t *testing.T, src string, nd exec.NDRange, engine exec.Engine,
 	return out.Scalars(), runErr
 }
 
+// testEngine names the evaluation engine a test launch takes.
+type testEngine string
+
+const (
+	engineTree testEngine = "tree"
+	engineVM   testEngine = "vm"
+)
+
 // codeFor returns the bytecode a launch on engine is handed: the executor
 // runs the VM exactly when a launch carries Code, so the tree walker gets
 // none.
-func codeFor(engine exec.Engine, cp *code.Program) *code.Program {
-	if engine == exec.EngineTree {
+func codeFor(engine testEngine, cp *code.Program) *code.Program {
+	if engine == engineTree {
 		return nil
 	}
 	return cp
@@ -129,8 +137,8 @@ func TestVMMatchesTree(t *testing.T) {
 	for _, k := range all {
 		for _, nd := range nds {
 			for _, fuel := range []int64{0, 700} {
-				want, wantErr := launchEngine(t, k.src, nd, exec.EngineTree, fuel, false)
-				got, gotErr := launchEngine(t, k.src, nd, exec.EngineVM, fuel, false)
+				want, wantErr := launchEngine(t, k.src, nd, engineTree, fuel, false)
+				got, gotErr := launchEngine(t, k.src, nd, engineVM, fuel, false)
 				label := fmt.Sprintf("%s nd=%v fuel=%d", k.name, nd.Global, fuel)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s: vm err %v, tree err %v", label, gotErr, wantErr)

@@ -96,8 +96,8 @@ func TestParallelGroupsDeterministic(t *testing.T) {
 		for _, nd := range nds {
 			// The sequential tree walk is the reference; every engine and
 			// schedule combination must reproduce it byte for byte.
-			want, wantErr := launchEngine(t, k.src, nd, exec.EngineTree, 0, false)
-			for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
+			want, wantErr := launchEngine(t, k.src, nd, engineTree, 0, false)
+			for _, engine := range []testEngine{engineTree, engineVM} {
 				for _, sc := range schedules {
 					got, gotErr := launchEngine(t, k.src, nd, engine, 0, sc.lockstep)
 					if (gotErr == nil) != (wantErr == nil) {
@@ -147,7 +147,7 @@ kernel void k(global ulong *out) {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	runWith := func(lockstep bool, engine exec.Engine) error {
+	runWith := func(lockstep bool, engine testEngine) error {
 		out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 		return exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
 			NoBarrier: !info.HasBarrier && !lockstep,
@@ -155,11 +155,11 @@ kernel void k(global ulong *out) {
 			Code:      codeFor(engine, lowered),
 		})
 	}
-	want := runWith(false, exec.EngineTree)
+	want := runWith(false, engineTree)
 	if _, ok := want.(*exec.TimeoutError); !ok {
 		t.Fatalf("sequential error = %v (%T), want timeout from group 1", want, want)
 	}
-	for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
+	for _, engine := range []testEngine{engineTree, engineVM} {
 		for _, sc := range schedules {
 			got := runWith(sc.lockstep, engine)
 			if _, ok := got.(*exec.TimeoutError); !ok {
@@ -201,7 +201,7 @@ kernel void k(global ulong *out, global uint *ctr) {
 	// One pool for every launch: the two schedules keep differently
 	// shaped states, so the pool's misses show both were taken.
 	pool := exec.NewLaunchPool()
-	for _, engine := range []exec.Engine{exec.EngineTree, exec.EngineVM} {
+	for _, engine := range []testEngine{engineTree, engineVM} {
 		for _, sc := range schedules {
 			out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 			ctr := exec.NewBuffer(cltypes.TUInt, 1)
@@ -412,6 +412,11 @@ func FuzzThreadedMatchesSwitch(f *testing.F) {
 		generator.ModeBasic, generator.ModeVector, generator.ModeBarrier, generator.ModeAll,
 	}
 	cfgs := device.All()
+	// Compile on the VM whatever CLFUZZ_ENGINE selected: the target
+	// compares coverage, which only the VM collects.
+	saved := device.TreeEngine
+	device.TreeEngine = false
+	f.Cleanup(func() { device.TreeEngine = saved })
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint32, cfgID uint8, optimize bool) {
 		k := generator.Generate(generator.Options{
 			Mode:            modes[int(mode)%len(modes)],

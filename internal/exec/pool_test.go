@@ -27,7 +27,7 @@ func TestPooledReuseAcrossDispatchModes(t *testing.T) {
 	})
 	nd := exec.NDRange{Global: [3]int{16, 1, 1}, Local: [3]int{4, 1, 1}}
 	pool := exec.NewLaunchPool()
-	engines := []exec.Engine{exec.EngineVM, exec.EngineTree}
+	engines := []testEngine{engineVM, engineTree}
 	all := append(append([]struct{ name, src string }{}, parallelKernels...), engineKernels...)
 	for _, k := range all {
 		prog, err := parser.Parse(k.src)
@@ -42,7 +42,7 @@ func TestPooledReuseAcrossDispatchModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: lower: %v", k.name, err)
 		}
-		run := func(p *exec.LaunchPool, e exec.Engine) ([]uint64, error) {
+		run := func(p *exec.LaunchPool, e testEngine) ([]uint64, error) {
 			out := exec.NewBuffer(cltypes.TULong, nd.GlobalLinear())
 			runErr := exec.Run(prog, nd, exec.Args{"out": {Buf: out}}, exec.Options{
 				NoBarrier:  !info.HasBarrier,
@@ -55,7 +55,7 @@ func TestPooledReuseAcrossDispatchModes(t *testing.T) {
 		// Fresh pool per reference launch: no state can carry over.
 		// Kernels that error (on every engine) stay in the gauntlet:
 		// the error path must also be reproducible from a poisoned pool.
-		want, wantErr := run(exec.NewLaunchPool(), exec.EngineVM)
+		want, wantErr := run(exec.NewLaunchPool(), engineVM)
 		for round := 0; round < 3; round++ {
 			for _, e := range engines {
 				got, gotErr := run(pool, e)

@@ -10,56 +10,20 @@ import (
 	"clfuzz/internal/code"
 )
 
-// Engine names an evaluation engine. The executor itself runs the VM
-// exactly when a launch carries bytecode (Options.Code); hosts resolve an
-// Engine to that choice (see device.RunOptions.Engine).
-type Engine uint8
-
-// Engines. EngineAuto defers to the process-wide default (the register
-// VM unless CLFUZZ_ENGINE says otherwise); the two explicit values force
-// one engine for determinism testing and for guarding the reference
-// interpreter from rot.
-const (
-	EngineAuto Engine = iota
-	EngineTree
-	EngineVM
-)
-
-// String returns the flag spelling of the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineTree:
-		return "tree"
-	case EngineVM:
-		return "vm"
-	}
-	return "auto"
-}
-
-// ParseEngine parses an engine name as spelled in CLFUZZ_ENGINE.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "tree":
-		return EngineTree, nil
-	case "vm":
-		return EngineVM, nil
-	}
-	return EngineAuto, fmt.Errorf("exec: unknown engine %q (want tree, vm, or auto)", s)
-}
-
 // SemanticsTag names the evaluation semantics a persisted launch result
-// depends on: the resolved engine and a revision prefix bumped whenever
-// either engine's observable behaviour changes. The disk result store
-// stamps every entry with this tag and never serves an entry written
-// under a different one, so semantics changes invalidate stale results
-// by construction instead of by deleting store directories. Auto is a
-// legitimate tag value: launch results are pinned byte-identical across
-// engines, but explicit and Auto selections never alias, which keeps
-// the engine-comparison suites honest across processes.
-func SemanticsTag(e Engine) string {
-	return "sem1/" + e.String()
+// depends on: the engine that produced it (vm when the launch carried
+// bytecode, tree otherwise) and a revision prefix bumped whenever either
+// engine's observable behaviour changes. The disk result store stamps
+// every entry with this tag and never serves an entry written under a
+// different one, so semantics changes invalidate stale results by
+// construction instead of by deleting store directories. Launch results
+// are pinned byte-identical across engines, but the two never alias,
+// which keeps the engine-comparison suites honest across processes.
+func SemanticsTag(vm bool) string {
+	if vm {
+		return "sem1/vm"
+	}
+	return "sem1/tree"
 }
 
 // Process-wide engine counters, reported by EngineCounters: which engine

@@ -134,11 +134,14 @@ func TestConcurrentCampaignsDeterministic(t *testing.T) {
 // other across the full defect-model matrix: for every golden case, every
 // configuration and both optimization levels, the register VM and the
 // reference tree walker must produce byte-identical outcomes, diagnostics
-// and buffer contents. Run under -race (CI does) this also verifies the
-// VM's shared-memory discipline and, via the armed immutable assertion,
-// that lowering and VM execution never write to the shared AST.
+// and buffer contents. It compiles on the VM under any CLFUZZ_ENGINE and
+// runs a copy of each kernel without bytecode on the tree walker. Run
+// under -race (CI does) this also verifies the VM's shared-memory
+// discipline and, via the armed immutable assertion, that lowering and
+// VM execution never write to the shared AST.
 func TestEngineDeterminism(t *testing.T) {
 	armImmutableAssert(t)
+	pinEngine(t, false)
 	cfgs := device.All()
 	for _, c := range goldenCases(t) {
 		fe := device.DefaultFrontCache.Get(c.Src)
@@ -151,10 +154,13 @@ func TestEngineDeterminism(t *testing.T) {
 				if cr.Kernel.Code == nil {
 					t.Fatalf("%s on %s: kernel did not lower to bytecode", c.Name, Key(cfg, opt))
 				}
+				// A copy without bytecode runs on the tree walker.
+				tree := *cr.Kernel
+				tree.Code = nil
 				args, result := c.Buffers()
-				want := cr.Kernel.Run(c.ND, args, result, device.RunOptions{Engine: exec.EngineTree})
+				want := tree.Run(c.ND, args, result, device.RunOptions{})
 				vargs, vresult := c.Buffers()
-				got := cr.Kernel.Run(c.ND, vargs, vresult, device.RunOptions{Engine: exec.EngineVM})
+				got := cr.Kernel.Run(c.ND, vargs, vresult, device.RunOptions{})
 				label := fmt.Sprintf("%s on %s", c.Name, Key(cfg, opt))
 				if got.Outcome != want.Outcome || got.Msg != want.Msg {
 					t.Fatalf("%s: vm (%v, %q), tree (%v, %q)", label, got.Outcome, got.Msg, want.Outcome, want.Msg)

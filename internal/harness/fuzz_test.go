@@ -16,12 +16,13 @@ func fuzzEngine() *campaign.Engine {
 
 var fuzzTestParams = Params{Table: FuzzTable, Scale: 4, Seed: 9, Threads: 32, Chains: 2}
 
-// pinEngine runs the rest of the test on engine e whatever CLFUZZ_ENGINE
-// selected for the process, restoring the selection afterwards.
-func pinEngine(t *testing.T, e exec.Engine) {
-	saved := device.DefaultEngine
-	device.DefaultEngine = e
-	t.Cleanup(func() { device.DefaultEngine = saved })
+// pinEngine compiles and runs the rest of the test on the tree engine
+// (tree) or the VM whatever CLFUZZ_ENGINE selected for the process,
+// restoring the selection afterwards.
+func pinEngine(t testing.TB, tree bool) {
+	saved := device.TreeEngine
+	device.TreeEngine = tree
+	t.Cleanup(func() { device.TreeEngine = saved })
 }
 
 // TestFuzzCampaignDeterminism: two independent runs of the fuzz campaign
@@ -33,7 +34,7 @@ func pinEngine(t *testing.T, e exec.Engine) {
 // VM under any CLFUZZ_ENGINE, since only the VM collects coverage.
 func TestFuzzCampaignDeterminism(t *testing.T) {
 	armImmutableAssert(t)
-	pinEngine(t, exec.EngineVM)
+	pinEngine(t, false)
 	ctx := context.Background()
 	run := func() ([]byte, []uint64, [][]uint32) {
 		eng := fuzzEngine()
@@ -115,7 +116,7 @@ func TestFuzzShardMergeMatchesDirect(t *testing.T) {
 // deterministically.
 func TestFuzzTreeEngineFallback(t *testing.T) {
 	armImmutableAssert(t)
-	pinEngine(t, exec.EngineTree)
+	pinEngine(t, true)
 	ctx := context.Background()
 	p := fuzzTestParams
 	p.Scale = 2
@@ -149,7 +150,7 @@ func TestFuzzTreeEngineFallback(t *testing.T) {
 // only the VM collects coverage.
 func TestTableCoverageNeutrality(t *testing.T) {
 	armImmutableAssert(t)
-	pinEngine(t, exec.EngineVM)
+	pinEngine(t, false)
 	ctx := context.Background()
 	tables := []Params{
 		{Table: 1, Scale: 1, Seed: 3, Threads: 32},

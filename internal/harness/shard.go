@@ -207,6 +207,20 @@ func decodeRecords[R any](records []json.RawMessage) ([]R, error) {
 	return out, nil
 }
 
+// ParseShard parses a slice spelled i/n, the form of `cltables -shard`,
+// and checks 0 <= i < n. The value must print back as itself, so
+// trailing text, a third field or a sign or leading zero is refused
+// rather than ignored.
+func ParseShard(s string) (shard, of int, err error) {
+	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &of); err != nil || fmt.Sprintf("%d/%d", shard, of) != s {
+		return 0, 0, fmt.Errorf("harness: shard %q is not i/n", s)
+	}
+	if shard < 0 || shard >= of {
+		return 0, 0, fmt.Errorf("harness: shard %s is not 0 <= i < n", s)
+	}
+	return shard, of, nil
+}
+
 // ShardRunOptions tunes RunShardOpts beyond the defaults.
 type ShardRunOptions struct {
 	// Prior resumes a partial shard file from an earlier, interrupted run

@@ -133,6 +133,29 @@ func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// TestParseShard: a -shard value parses only when it prints back as
+// itself and names one of its n slices.
+func TestParseShard(t *testing.T) {
+	for _, c := range []struct {
+		in        string
+		shard, of int
+		ok        bool
+	}{
+		{"1/3", 1, 3, true},
+		{"0/0", 0, 0, false},     // no slices
+		{"2/2", 0, 0, false},     // past the last slice
+		{"-1/2", 0, 0, false},    // negative index
+		{"1", 0, 0, false},       // no slash
+		{"0/2junk", 0, 0, false}, // trailing text
+		{"1/2/7", 0, 0, false},   // three fields
+	} {
+		shard, of, err := ParseShard(c.in)
+		if (err == nil) != c.ok || shard != c.shard || of != c.of {
+			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, ok=%v", c.in, shard, of, err, c.shard, c.of, c.ok)
+		}
+	}
+}
+
 // TestShardMergeRejectsBadSets: incomplete, duplicated or mismatched
 // shard sets must be refused — with errors precise enough to name the
 // offending file and case — not silently merged.
