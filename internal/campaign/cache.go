@@ -10,15 +10,17 @@ import (
 	"clfuzz/internal/store"
 )
 
-// resultKey identifies everything a deterministic launch result depends
-// on: the printed-source hash, the full defect model (the launch-time
-// gates read the level's divisors and the source hash; the level's fuel
+// resultKey identifies everything a deterministic unit result depends
+// on, compile included: the printed-source hash, the full defect model
+// (the compile reads the level's defect set and gate divisors, the
+// launch-time gates its divisors and the source hash; the level's fuel
 // factor fixes the step budget), the effective optimization setting,
-// the engine the kernel runs on (vm: it carries bytecode; outputs are
+// the engine the process runs (vm: !device.TreeEngine; outputs are
 // pinned byte-identical across engines, but keying on it keeps the
 // engine-comparison suites honest), and a digest of the entire machine
 // state the launch reads — NDRange, argument names, scalar values,
 // buffer types and initial contents, and the result-buffer binding.
+// Every field is known before the back end runs, so a hit skips it.
 type resultKey struct {
 	srcHash uint64
 	lvl     device.Level
@@ -47,13 +49,16 @@ type resultEntry struct {
 	cov coverDelta
 }
 
-// ResultCache is the bounded, concurrency-safe cross-base result memo:
-// the third cache level after the front-end parse cache and the
-// compiled-kernel back cache. Model dedup collapses deterministic
-// replicas within one case; the result cache collapses them across
-// cases and across campaigns — acceptance-filter runs reused by the
-// campaign proper, EMI prunings that reproduce another base's text, and
-// repeated benchmark or exhibit verifications all hit here.
+// ResultCache is the bounded, concurrency-safe cross-base result memo.
+// It sits between the front-end parse cache and the compiled-kernel
+// back cache: a unit probes it right after its parse, so a hit skips
+// the back end as well as the launch, and a compile outcome (build
+// failure or compile timeout) is stored as a result. Model dedup
+// collapses deterministic replicas within one case; the result cache
+// collapses them across cases and across campaigns — acceptance-filter
+// runs reused by the campaign proper, EMI prunings that reproduce
+// another base's text, and repeated benchmark or exhibit verifications
+// all hit here.
 //
 // The memory tier is a memo.FIFO: eviction follows insertion order,
 // which keeps the cache deterministic under any interleaving of lookups
@@ -143,11 +148,14 @@ func (rc *ResultCache) DiskStats() (hits, misses uint64) {
 	return rc.diskHits.Load(), rc.diskMisses.Load()
 }
 
-// resultKeyFor builds the cache key for one launch of k, reporting false when
-// the launch is not cacheable: any aggregate- or vector-element argument
-// buffer keeps per-element cell trees whose contents the digest does not
-// cover, so such launches always execute.
-func resultKeyFor(k *device.Kernel, nd exec.NDRange, args exec.Args, result *exec.Buffer, cover bool) (resultKey, bool) {
+// resultKeyFor builds the cache key for one unit: fe compiled by cfg at
+// optimize and launched over nd with args. It reads what the back end
+// and the launch read, and nothing the back end produces, so it runs
+// before the compile. It reports false when the unit is not cacheable:
+// any aggregate- or vector-element argument buffer keeps per-element
+// cell trees whose contents the digest does not cover, so such units
+// always compile and execute.
+func resultKeyFor(fe *device.FrontEnd, cfg *device.Config, optimize bool, nd exec.NDRange, args exec.Args, result *exec.Buffer, cover bool) (resultKey, bool) {
 	d := digest{h: 14695981039346656037}
 	for _, g := range nd.Global {
 		d.word(uint64(g))
@@ -188,10 +196,10 @@ func resultKeyFor(k *device.Kernel, nd exec.NDRange, args exec.Args, result *exe
 		}
 	}
 	return resultKey{
-		srcHash: k.Hash,
-		lvl:     k.Config.Level(k.Optimized),
-		effOpt:  k.Optimized && !k.Config.NoOptimizer,
-		vm:      k.Code != nil,
+		srcHash: fe.Hash,
+		lvl:     cfg.Level(optimize),
+		effOpt:  optimize && !cfg.NoOptimizer,
+		vm:      !device.TreeEngine,
 		digest:  d.h,
 		cover:   cover,
 	}, true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"clfuzz/internal/ast"
@@ -257,5 +258,41 @@ func TestDiskTierCorruptEntry(t *testing.T) {
 	third.Results.AttachStore(s3)
 	if r := third.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached {
 		t.Fatal("healed entry missed")
+	}
+}
+
+// TestResultKeySeparatesEngines: the key's engine bit comes from the
+// process's engine switch, read before the compile, so a unit memoized
+// on the VM misses when the process runs the tree walker and executes
+// there. Otherwise the tree-vs-VM suites could compare a memoized VM
+// result with itself.
+func TestResultKeySeparatesEngines(t *testing.T) {
+	saved := device.TreeEngine
+	t.Cleanup(func() { device.TreeEngine = saved })
+	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
+	cfg := device.Reference()
+	c := testCase("engines")
+
+	device.TreeEngine = false
+	vmRun := eng.RunCase(cfg, true, c, LaunchOptions{})
+	if vmRun.Outcome != device.OK || vmRun.Cached {
+		t.Fatalf("VM run: %+v", vmRun)
+	}
+	if r := eng.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached {
+		t.Fatal("the VM rerun missed its own entry")
+	}
+
+	device.TreeEngine = true
+	vm0, tree0, _ := exec.EngineCounters()
+	treeRun := eng.RunCase(cfg, true, c, LaunchOptions{})
+	vm1, tree1, _ := exec.EngineCounters()
+	if treeRun.Cached {
+		t.Fatal("the tree-engine run was served the VM's memoized result")
+	}
+	if tree1-tree0 != 1 || vm1 != vm0 {
+		t.Fatalf("tree-engine run executed %d tree and %d VM launches, want 1 and 0", tree1-tree0, vm1-vm0)
+	}
+	if treeRun.Outcome != vmRun.Outcome || !slices.Equal(treeRun.Output, vmRun.Output) {
+		t.Fatalf("engines disagree: tree %+v, vm %+v", treeRun, vmRun)
 	}
 }

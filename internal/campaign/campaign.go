@@ -83,10 +83,13 @@ type UnitResult struct {
 	Output  []uint64
 	// Compile reports that the outcome was produced by the compile stage
 	// (build failures always; timeouts when the compiler, not the kernel,
-	// exceeded its budget — the Table 1 slow-compilation signal).
+	// exceeded its budget — the Table 1 slow-compilation signal). The
+	// result tiers store it with the outcome, so a cached compile outcome
+	// keeps it.
 	Compile bool
 	// Cached reports that the result came from the cross-base result
-	// cache rather than a fresh execution.
+	// cache (memory or disk) rather than a fresh compile and execution;
+	// compile outcomes are served from it too.
 	Cached bool
 }
 
@@ -145,14 +148,15 @@ type Engine struct {
 	cases    atomic.Int64
 	launches atomic.Int64
 
-	// Per-reason result-cache skip counters: launches that had to execute
-	// even though a result cache was wired, broken down by why the cache
-	// could not serve (or record) them. skipNonFlat counts launches with
-	// cell-backed (aggregate/vector-element) buffers the digest cannot
-	// cover; skipRace counts race-checked runs, whose diagnostics depend
-	// on the checker; skipCover counts misses where the same launch was
-	// memoized under the opposite coverage population (the cover bit of
-	// the key splits covered from uncovered entries).
+	// Per-reason result-cache skip counters: units that had to compile
+	// and execute even though a result cache was wired, broken down by
+	// why the cache could not serve (or record) them. The probe precedes
+	// the compile, so units whose compile fails count too. skipNonFlat
+	// counts units with cell-backed (aggregate/vector-element) buffers
+	// the digest cannot cover; skipRace counts race-checked runs, whose
+	// diagnostics depend on the checker; skipCover counts misses where
+	// the same unit was memoized under the opposite coverage population
+	// (the cover bit of the key splits covered from uncovered entries).
 	skipNonFlat atomic.Int64
 	skipRace    atomic.Int64
 	skipCover   atomic.Int64
@@ -164,17 +168,18 @@ type Engine struct {
 var Default = &Engine{Front: device.DefaultFrontCache, Results: NewResultCache(8192)}
 
 // Counters reports the engine's cumulative throughput counters: cases
-// (matrices or single launches) started and representative launches
-// handed to the device that it did not serve from a shared execution
-// (model-dedup followers, result-cache hits and launches served by
-// another model's execution in their matrix are not re-executed).
+// (matrices or single launches) started and launches the executor ran
+// (device.RunResult.Executed). Model-dedup followers, result-cache
+// hits, compile outcomes, launch-time crash gates and launches served by
+// another model's execution in their matrix execute nothing.
 func (e *Engine) Counters() (cases, launches int64) {
 	return e.cases.Load(), e.launches.Load()
 }
 
-// CacheSkips reports the per-reason result-cache skip counters: launches
-// with non-flat (cell-backed) buffers, race-checked launches, and misses
-// whose result was memoized under the opposite coverage population.
+// CacheSkips reports the per-reason result-cache skip counters: units
+// with non-flat (cell-backed) buffers, race-checked units, and misses
+// whose result was memoized under the opposite coverage population. A
+// unit counts whether it then executes or fails to compile.
 func (e *Engine) CacheSkips() (nonFlat, race, cover int64) {
 	return e.skipNonFlat.Load(), e.skipRace.Load(), e.skipCover.Load()
 }
@@ -222,16 +227,21 @@ func (e *Engine) frontEnd(src string) *device.FrontEnd {
 	return device.ParseFrontEnd(src)
 }
 
-// runUnit is the memoized front-end → back-end → execute chain behind
-// every campaign launch. share, when non-nil, is the record of
-// executions of buffers' argument set.
+// runUnit is the memoized front end → result probe → back end → execute
+// chain behind every campaign launch. The result key needs only the
+// front end and the configuration, so a memory or disk hit skips sema,
+// fold/optimize and lowering; a compile outcome (build failure or
+// compile timeout) is a result like any other and is stored on a miss.
+// A source that does not parse reports its build failure before any of
+// that: it builds no buffers, probes nothing and stores nothing. share,
+// when non-nil, is the record of executions of buffers' argument set.
 func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd, nd exec.NDRange, buffers func() (exec.Args, *exec.Buffer), share *device.Share, o LaunchOptions) UnitResult {
 	key := Key(cfg, optimize)
 	if o.Ctx != nil && o.Ctx.Err() != nil {
 		return UnitResult{Key: key, Outcome: device.Canceled, Msg: "launch canceled"}
 	}
-	cr := cfg.CompileFrontEnd(fe, optimize)
-	if cr.Outcome != device.OK {
+	if fe.Err != nil {
+		cr := cfg.CompileFrontEnd(fe, optimize)
 		return UnitResult{Key: key, Outcome: cr.Outcome, Msg: cr.Msg, Compile: true}
 	}
 	cover := o.Cover
@@ -245,7 +255,7 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		e.skipRace.Add(1)
 	}
 	if e.Results != nil && !o.CheckRaces {
-		rk, cacheable = resultKeyFor(cr.Kernel, nd, args, result, cover != nil)
+		rk, cacheable = resultKeyFor(fe, cfg, optimize, nd, args, result, cover != nil)
 		if !cacheable {
 			e.skipNonFlat.Add(1)
 		}
@@ -267,6 +277,14 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 			}
 		}
 	}
+	cr := cfg.CompileFrontEnd(fe, optimize)
+	if cr.Outcome != device.OK {
+		r := UnitResult{Key: key, Outcome: cr.Outcome, Msg: cr.Msg, Compile: true}
+		if cacheable {
+			e.Results.put(rk, fe.Canon, r, coverDelta{})
+		}
+		return r
+	}
 	// A covered launch collects into a private map first: the memoized
 	// delta must be this launch's coverage alone, not whatever the shared
 	// accumulator already held.
@@ -281,7 +299,7 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		Pool:       e.Pool,
 		Share:      share,
 	})
-	if !rr.Shared {
+	if rr.Executed {
 		e.launches.Add(1)
 	}
 	r := UnitResult{Key: key, Outcome: rr.Outcome, Msg: rr.Msg, Output: rr.Output}

@@ -34,7 +34,10 @@ func EnableStore(dir string) (*store.Store, error) {
 // 64-bit address collision or a stale tag is detected and treated as a
 // miss), the canonical source text (the same collision guard the
 // in-memory tiers use), the unit result, and the launch's coverage delta
-// for covered entries.
+// for covered entries. Compile marks a compile outcome (build failure or
+// compile timeout). It is omitted when false, so a run result's payload
+// has the same bytes whether or not its store also holds compile
+// outcomes, and stores without any stay readable.
 type diskEntry struct {
 	Sem     string `json:"sem"`
 	SrcHash uint64 `json:"srcHash"`
@@ -48,6 +51,7 @@ type diskEntry struct {
 	Outcome int      `json:"outcome"`
 	Msg     string   `json:"msg,omitempty"`
 	Output  []uint64 `json:"output,omitempty"`
+	Compile bool     `json:"compile,omitempty"`
 
 	CovEdges []uint32 `json:"covEdges,omitempty"`
 	CovSites []uint64 `json:"covSites,omitempty"`
@@ -119,7 +123,7 @@ func (rc *ResultCache) diskGet(k resultKey, src string) (resultEntry, bool) {
 		e.EffOpt != k.effOpt || e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
 		return resultEntry{}, false
 	}
-	r := resultEntry{res: UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output}}
+	r := resultEntry{res: UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output, Compile: e.Compile}}
 	r.cov.edges = e.CovEdges
 	if len(e.CovSites) == len(r.cov.sites) {
 		copy(r.cov.sites[:], e.CovSites)
@@ -141,6 +145,7 @@ func (rc *ResultCache) diskPut(k resultKey, src string, r resultEntry) {
 		Outcome: int(r.res.Outcome),
 		Msg:     r.res.Msg,
 		Output:  r.res.Output,
+		Compile: r.res.Compile,
 	}
 	if k.cover {
 		e.CovEdges = r.cov.edges

@@ -31,21 +31,26 @@
 // device.Share, which serves a launch that would repeat a recorded
 // execution exactly (hence the Matrix.Buffers contract). Model dedup
 // stays in front of it: a follower costs one result copy, where a
-// representative builds and digests its arguments, looks up its compiled
-// kernel and probes the result cache.
+// representative builds and digests its arguments, probes the result
+// cache and, on a miss, looks up its compiled kernel.
 //
 // # Cross-base result cache
 //
-// The third cache level after device.FrontCache (parses) and
-// device.BackCache (compiled kernels): ResultCache memoizes finished
-// launch results keyed by (printed-source hash, defect model, argument
-// digest). Where model dedup collapses replicas within one case, the
-// result cache collapses them across cases and across campaigns — a
-// Table 4 kernel already executed by the acceptance filter, an EMI
-// variant whose pruning reproduces another base's text, or a repeated
-// benchmark run all return memoized output. Results are only cached when
-// every argument buffer is flat (scalar elements), so the digest covers
-// the entire machine state a launch reads; everything else simply runs.
+// The cache level between device.FrontCache (parses) and
+// device.BackCache (compiled kernels): a unit runs front end → result
+// probe → back end → execute. ResultCache memoizes finished unit
+// results keyed by (printed-source hash, defect model, effective
+// optimization, engine, argument digest), all known before the back end
+// runs, so a hit skips the compile as well as the launch. Compile
+// outcomes (build failures and compile timeouts) are results too, stored
+// with their Compile bit, so a warm rerun compiles nothing. Where model
+// dedup collapses replicas within one case, the result cache collapses
+// them across cases and across campaigns — a Table 4 kernel already
+// executed by the acceptance filter, an EMI variant whose pruning
+// reproduces another base's text, or a repeated benchmark run all return
+// memoized output. Results are only cached when every argument buffer is
+// flat (scalar elements), so the digest covers the entire machine state
+// a launch reads; everything else simply compiles and runs.
 //
 // # Parallelism
 //

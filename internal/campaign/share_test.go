@@ -114,7 +114,9 @@ kernel void k(global ulong *out) {
 // and output equal those of a per-unit uncached compile and launch with
 // no sharing. The serial variant runs representatives one at a time, so
 // each finds every execution recorded before it; the concurrent one
-// (width 1) has several goroutines reach one record at once.
+// (width 1) has several goroutines reach one record at once. On the
+// serial variant the engine's launch count must equal the executions
+// the executor counted: crash-gated and shared verdicts execute nothing.
 func TestLaunchShareMatchesUnshared(t *testing.T) {
 	cfgs := append([]*device.Config{device.Reference()}, device.All()...)
 	var units []campaign.Unit
@@ -152,9 +154,11 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 			Buffers: func(int) (exec.Args, *exec.Buffer) { return k.args() },
 			Units:   units,
 		}
-		for _, width := range []int{runtime.GOMAXPROCS(0), 1} {
+		for wi, width := range []int{runtime.GOMAXPROCS(0), 1} {
 			eng := &campaign.Engine{Front: device.NewFrontCache(4)}
+			vm0, tree0, _ := exec.EngineCounters()
 			got := eng.RunMatrix(m, width)
+			vm1, tree1, _ := exec.EngineCounters()
 			for i, u := range units {
 				g, w := got[i], want[i]
 				if g.Outcome != w.Outcome || g.Msg != w.Msg || !slices.Equal(g.Output, w.Output) {
@@ -162,10 +166,13 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 						k.name, width, campaign.Key(u.Cfg, u.Opt), g.Outcome, g.Msg, g.Output, w.Outcome, w.Msg, w.Output)
 				}
 			}
-			if width == 1 {
+			if wi > 0 {
 				continue
 			}
 			_, n := eng.Counters()
+			if ran := vm1 - vm0 + tree1 - tree0; n != ran {
+				t.Errorf("%s: the engine counted %d launches, the executor ran %d", k.name, n, ran)
+			}
 			launched += n
 			for _, i := range reps {
 				if !got[i].Compile {

@@ -173,9 +173,10 @@ type RunResult struct {
 	// Output is the contents of the result buffer for OK outcomes (the
 	// comma-separated list CLsmith prints, as raw values).
 	Output []uint64
-	// Shared reports that RunOptions.Share served the verdict: the kernel
-	// did not execute.
-	Shared bool
+	// Executed reports that the executor ran the launch. It is false for
+	// the launch-time crash gates' verdicts and for verdicts RunOptions.Share
+	// served from another execution.
+	Executed bool
 }
 
 // RunOptions tunes kernel execution. The step budget is not among
@@ -238,7 +239,9 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		Code:       k.Code,
 	}
 	rr := ro.Share.run(k.Prog, opts, func(opts exec.Options) RunResult {
-		return execute(k.Prog, nd, args, result, opts)
+		rr := execute(k.Prog, nd, args, result, opts)
+		rr.Executed = true
+		return rr
 	})
 	if rr.Outcome != OK {
 		return rr

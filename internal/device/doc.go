@@ -49,11 +49,13 @@
 // must be byte-for-byte invisible). The result is a runnable Kernel
 // whose Run method applies the launch-time defect gates (driver crashes,
 // fuel scaling, residual wrong-code corruption) around exec.Run, which a
-// Share (RunOptions.Share) may serve from a recorded execution. A third
-// cache level sits above this package: internal/campaign's
-// ResultCache memoizes finished launch results per (source hash, defect
-// model, argument digest), so exact repeats of a launch — across cases,
-// campaigns, and the acceptance filters — skip execution entirely.
+// Share (RunOptions.Share) may serve from a recorded execution. A result
+// cache sits above this package: internal/campaign's ResultCache
+// memoizes finished unit results per (source hash, defect model,
+// argument digest), compile outcomes included, and is probed between
+// the front end and the back end, so exact repeats of a unit — across
+// cases, campaigns, and the acceptance filters — skip the back end and
+// execution entirely.
 //
 // # Immutable-kernel contract
 //

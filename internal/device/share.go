@@ -57,7 +57,7 @@ func (r *sharedRun) serves(prog *ast.Program, opts *exec.Options) bool {
 }
 
 // run returns the verdict of launching prog with opts: a recorded one
-// when an execution serves it (marked Shared), otherwise launch's, which
+// when an execution serves it (not Executed), otherwise launch's, which
 // it records. A cancelled verdict is never recorded. Two concurrent
 // misses on one program may both execute; their verdicts are identical.
 // A nil Share always launches.
@@ -71,7 +71,7 @@ func (s *Share) run(prog *ast.Program, opts exec.Options, launch func(exec.Optio
 			res := r.res
 			s.mu.Unlock()
 			res.Output = append([]uint64(nil), res.Output...)
-			res.Shared = true
+			res.Executed = false
 			return res
 		}
 	}
