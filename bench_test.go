@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -296,10 +297,39 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestParseAllocs pins what one parse of the BenchmarkParse kernel
+// allocates, in bytes and in objects. Parsing through a fully lexed
+// token slice allocated 632,041 B in 2,862 objects per parse; the
+// parser that pulls tokens from the lexer on demand measures ~53,700 B
+// in ~1,270 objects, and the ceilings sit about 10% above that.
+func TestParseAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation skews allocation counts")
+	}
+	k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 5, MaxTotalThreads: 64})
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := parser.Parse(k.Src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const maxBytes, maxObjects = 59_000, 1_400
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := (after.Mallocs - before.Mallocs) / runs
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("a parse allocates %d B in %d objects, ceiling %d B in %d objects", bytes, objects, maxBytes, maxObjects)
+	}
+}
+
 // BenchmarkParse measures the parser on generated source.
 func BenchmarkParse(b *testing.B) {
 	k := generator.Generate(generator.Options{Mode: generator.ModeAll, Seed: 5, MaxTotalThreads: 64})
 	b.SetBytes(int64(len(k.Src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := parser.Parse(k.Src); err != nil {

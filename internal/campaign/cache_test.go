@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -258,6 +259,61 @@ func TestDiskTierCorruptEntry(t *testing.T) {
 	third.Results.AttachStore(s3)
 	if r := third.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached {
 		t.Fatal("healed entry missed")
+	}
+}
+
+// TestDiskTierOldLayoutHeals: a payload in the layout that kept the
+// source inside the JSON has no newline before a raw source, so it is a
+// clean miss, not a corrupt record. The unit executes once and appends
+// its result in the current layout, which a third handle hits.
+func TestDiskTierOldLayoutHeals(t *testing.T) {
+	dir := t.TempDir()
+	cfg := device.Reference()
+	c := testCase("old-layout")
+	fe := device.ParseFrontEnd(c.Src)
+	args, result := c.Buffers()
+	k, ok := resultKeyFor(fe, cfg, true, c.ND, args, result, false)
+	if !ok {
+		t.Fatal("test unit is not cacheable")
+	}
+	want := (&Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}).RunCase(cfg, true, c, LaunchOptions{})
+	sem := exec.SemanticsTag(k.vm)
+	old, err := json.Marshal(map[string]any{
+		"sem": sem, "srcHash": k.srcHash, "lvlKey": k.lvlDigest(), "effOpt": k.effOpt,
+		"digest": k.digest, "cover": k.cover, "src": fe.Canon,
+		"outcome": int(want.Outcome), "output": want.Output,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _ := store.Open(dir)
+	s1.Put(k.addr(sem), old)
+
+	s2, _ := store.Open(dir)
+	eng := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
+	eng.Results.AttachStore(s2)
+	got := eng.RunCase(cfg, true, c, LaunchOptions{})
+	if got.Cached {
+		t.Fatal("an old-layout payload was served as a hit")
+	}
+	if got.Outcome != want.Outcome || !slices.Equal(got.Output, want.Output) {
+		t.Fatalf("re-executed result differs: %+v vs %+v", got, want)
+	}
+	if hits, misses := eng.Results.DiskStats(); hits != 0 || misses != 1 {
+		t.Fatalf("disk stats hits=%d misses=%d, want 0/1", hits, misses)
+	}
+	if _, launches := eng.Counters(); launches != 1 {
+		t.Fatalf("%d launches, want 1", launches)
+	}
+	if st := s2.Stats(); st.Corrupt != 0 || st.Writes != 1 {
+		t.Fatalf("store stats %+v, want corrupt=0 and writes=1", st)
+	}
+
+	s3, _ := store.Open(dir)
+	third := &Engine{Front: device.NewFrontCache(16), Results: NewResultCache(64)}
+	third.Results.AttachStore(s3)
+	if r := third.RunCase(cfg, true, c, LaunchOptions{}); !r.Cached || !slices.Equal(r.Output, want.Output) {
+		t.Fatalf("healed entry: %+v, want a hit with %v", r, want.Output)
 	}
 }
 

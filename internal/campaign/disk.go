@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 
@@ -29,15 +30,21 @@ func EnableStore(dir string) (*store.Store, error) {
 	return s, nil
 }
 
-// diskEntry is the JSON payload persisted per result: the semantics tag,
-// which names the engine, and every other field of the logical key (so a
-// 64-bit address collision or a stale tag is detected and treated as a
-// miss), the canonical source text (the same collision guard the
-// in-memory tiers use), the unit result, and the launch's coverage delta
-// for covered entries. Compile marks a compile outcome (build failure or
-// compile timeout). It is omitted when false, so a run result's payload
-// has the same bytes whether or not its store also holds compile
-// outcomes, and stores without any stay readable.
+// diskEntry is the JSON header of the payload persisted per result: the
+// semantics tag, which names the engine, and every other field of the
+// logical key (so a 64-bit address collision or a stale tag is detected
+// and treated as a miss), the unit result, and the launch's coverage
+// delta for covered entries. Compile marks a compile outcome (build
+// failure or compile timeout). It is omitted when false, so a run
+// result's payload has the same bytes whether or not its store also
+// holds compile outcomes.
+//
+// The payload is the header, a newline, and the canonical source's raw
+// bytes, which a read compares with the lookup's source byte for byte
+// (the same collision guard the in-memory tiers use). json.Marshal never
+// emits a raw newline, so the first one ends the header, and the source
+// is neither escaped nor decoded. A payload with no newline, written
+// before the source left the JSON, is a miss.
 type diskEntry struct {
 	Sem     string `json:"sem"`
 	SrcHash uint64 `json:"srcHash"`
@@ -45,8 +52,6 @@ type diskEntry struct {
 	EffOpt  bool   `json:"effOpt"`
 	Digest  uint64 `json:"digest"`
 	Cover   bool   `json:"cover"`
-
-	Src string `json:"src"`
 
 	Outcome int      `json:"outcome"`
 	Msg     string   `json:"msg,omitempty"`
@@ -105,22 +110,26 @@ func (rc *ResultCache) AttachStore(s *store.Store) {
 // Disk returns the attached store, nil when the cache is memory-only.
 func (rc *ResultCache) Disk() *store.Store { return rc.disk }
 
-// diskGet probes the disk tier for the key. Any mismatch — decode
-// failure, stale semantics tag, address collision on another key, source
-// collision on another text — is a miss; the blob-level corruption
-// counting already happened inside store.Get.
+// diskGet probes the disk tier for the key. Any mismatch — no header,
+// decode failure, stale semantics tag, address collision on another key,
+// source collision on another text — is a miss; the blob-level
+// corruption counting already happened inside store.Get.
 func (rc *ResultCache) diskGet(k resultKey, src string) (resultEntry, bool) {
 	sem := exec.SemanticsTag(k.vm)
 	payload, ok := rc.disk.Get(k.addr(sem))
 	if !ok {
 		return resultEntry{}, false
 	}
+	nl := bytes.IndexByte(payload, '\n')
+	if nl < 0 || string(payload[nl+1:]) != src {
+		return resultEntry{}, false
+	}
 	var e diskEntry
-	if json.Unmarshal(payload, &e) != nil {
+	if json.Unmarshal(payload[:nl], &e) != nil {
 		return resultEntry{}, false
 	}
 	if e.Sem != sem || e.SrcHash != k.srcHash || e.LvlKey != k.lvlDigest() ||
-		e.EffOpt != k.effOpt || e.Digest != k.digest || e.Cover != k.cover || e.Src != src {
+		e.EffOpt != k.effOpt || e.Digest != k.digest || e.Cover != k.cover {
 		return resultEntry{}, false
 	}
 	r := resultEntry{res: UnitResult{Outcome: device.Outcome(e.Outcome), Msg: e.Msg, Output: e.Output, Compile: e.Compile}}
@@ -141,7 +150,6 @@ func (rc *ResultCache) diskPut(k resultKey, src string, r resultEntry) {
 		EffOpt:  k.effOpt,
 		Digest:  k.digest,
 		Cover:   k.cover,
-		Src:     src,
 		Outcome: int(r.res.Outcome),
 		Msg:     r.res.Msg,
 		Output:  r.res.Output,
@@ -151,9 +159,9 @@ func (rc *ResultCache) diskPut(k resultKey, src string, r resultEntry) {
 		e.CovEdges = r.cov.edges
 		e.CovSites = r.cov.sites[:]
 	}
-	payload, err := json.Marshal(e)
+	header, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
-	rc.disk.Put(k.addr(sem), payload)
+	rc.disk.Put(k.addr(sem), append(append(header, '\n'), src...))
 }

@@ -13,12 +13,12 @@ type Kind int
 const (
 	EOF Kind = iota
 	Ident
-	Number // integer literal; Val and Suffix are set
+	Number // integer literal; Text is its spelling, Val and Suffix are set
 	Punct  // operator or punctuation; Text is the spelling
 	Keyword
 )
 
-// Token is a lexical token.
+// Token is a lexical token. The zero Token is an EOF token.
 type Token struct {
 	Kind   Kind
 	Text   string
@@ -51,13 +51,26 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg) }
 
+// Lexer scans source text one token at a time, so a parser can pull
+// tokens on demand instead of holding the whole stream. The zero value
+// is not ready: start one with New.
+type Lexer struct {
+	src  string
+	pos  int
+	line int
+	col  int
+}
+
+// New returns a lexer positioned at the start of src.
+func New(src string) Lexer { return Lexer{src: src, line: 1, col: 1} }
+
 // Lex tokenizes src. It returns the token stream terminated by an EOF token,
-// or an error for malformed input.
+// or the first error for malformed input.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
+	l := New(src)
 	var toks []Token
 	for {
-		tok, err := l.next()
+		tok, err := l.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -68,32 +81,25 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func (l *lexer) errf(format string, args ...any) error {
+func (l *Lexer) errf(format string, args ...any) error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peek() byte {
+func (l *Lexer) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos]
 }
 
-func (l *lexer) peek2() byte {
+func (l *Lexer) peek2() byte {
 	if l.pos+1 >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos+1]
 }
 
-func (l *lexer) advance() byte {
+func (l *Lexer) advance() byte {
 	c := l.src[l.pos]
 	l.pos++
 	if c == '\n' {
@@ -105,7 +111,7 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) skipSpaceAndComments() error {
+func (l *Lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
@@ -150,15 +156,30 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-// multi-character punctuation, longest first.
-var puncts3 = []string{"<<=", ">>="}
-var puncts2 = []string{
-	"<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-	"->", "++", "--",
+// puncts lists the punctuators by first byte, longest first, so the
+// first prefix match is the maximal munch. Every token's Text is one of
+// these constants: a one-byte punctuator allocates no string.
+var puncts = [256][]string{
+	'<': {"<<=", "<<", "<=", "<"},
+	'>': {">>=", ">>", ">=", ">"},
+	'=': {"==", "="},
+	'!': {"!=", "!"},
+	'&': {"&&", "&=", "&"},
+	'|': {"||", "|=", "|"},
+	'+': {"+=", "++", "+"},
+	'-': {"-=", "->", "--", "-"},
+	'*': {"*=", "*"},
+	'/': {"/=", "/"},
+	'%': {"%=", "%"},
+	'^': {"^=", "^"},
+	'~': {"~"}, '(': {"("}, ')': {")"}, '[': {"["}, ']': {"]"},
+	'{': {"{"}, '}': {"}"}, ';': {";"}, ',': {","}, '.': {"."},
+	'?': {"?"}, ':': {":"},
 }
 
-func (l *lexer) next() (Token, error) {
+// Next returns the next token: an EOF token, repeatedly, once the
+// source is exhausted, or an error for malformed input.
+func (l *Lexer) Next() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
@@ -182,35 +203,19 @@ func (l *lexer) next() (Token, error) {
 		return Token{Kind: k, Text: text, Line: line, Col: col}, nil
 	case isDigit(c):
 		return l.number(line, col)
-	default:
-		rest := l.src[l.pos:]
-		for _, p := range puncts3 {
-			if strings.HasPrefix(rest, p) {
-				for range p {
-					l.advance()
-				}
-				return Token{Kind: Punct, Text: p, Line: line, Col: col}, nil
-			}
-		}
-		for _, p := range puncts2 {
-			if strings.HasPrefix(rest, p) {
-				for range p {
-					l.advance()
-				}
-				return Token{Kind: Punct, Text: p, Line: line, Col: col}, nil
-			}
-		}
-		switch c {
-		case '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>', '=',
-			'(', ')', '[', ']', '{', '}', ';', ',', '.', '?', ':':
-			l.advance()
-			return Token{Kind: Punct, Text: string(c), Line: line, Col: col}, nil
-		}
-		return Token{}, l.errf("unexpected character %q", c)
 	}
+	rest := l.src[l.pos:]
+	for _, p := range puncts[c] {
+		if strings.HasPrefix(rest, p) {
+			l.pos += len(p) // no punctuator holds a newline
+			l.col += len(p)
+			return Token{Kind: Punct, Text: p, Line: line, Col: col}, nil
+		}
+	}
+	return Token{}, l.errf("unexpected character %q", c)
 }
 
-func (l *lexer) number(line, col int) (Token, error) {
+func (l *Lexer) number(line, col int) (Token, error) {
 	start := l.pos
 	base := 10
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
@@ -265,5 +270,5 @@ done:
 	if hasL {
 		suffix += "l"
 	}
-	return Token{Kind: Number, Val: val, Suffix: suffix, Line: line, Col: col}, nil
+	return Token{Kind: Number, Text: l.src[start:l.pos], Val: val, Suffix: suffix, Line: line, Col: col}, nil
 }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 
 	"clfuzz/internal/ast"
 	"clfuzz/internal/cltypes"
@@ -17,53 +18,86 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg) }
 
-// Parse parses a translation unit.
+// Parse parses a translation unit. The first lexical error in src is
+// reported ahead of any syntax error, wherever the two fall.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, typedefs: map[string]cltypes.Type{}, structs: map[string]*cltypes.StructT{}}
+	p := newParser(src)
 	prog, err := p.program()
-	if err != nil {
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
 	return prog, nil
 }
 
-// ParseExpr parses a single expression (used in tests and by the reducer).
+// ParseExpr parses a single expression (used in tests).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, typedefs: map[string]cltypes.Type{}, structs: map[string]*cltypes.StructT{}}
+	p := newParser(src)
 	e, err := p.expr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.peek().Kind != lexer.EOF {
+		err = p.errf("trailing tokens after expression")
 	}
-	if p.peek().Kind != lexer.EOF {
-		return nil, p.errf("trailing tokens after expression")
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
+// parser pulls tokens from the lexer on demand. The grammar looks at
+// most two tokens past the current one and never backs up, so a window
+// of three holds every token it can still inspect.
 type parser struct {
-	toks     []lexer.Token
-	pos      int
+	lex      lexer.Lexer
+	win      [3]lexer.Token // the current token and two of lookahead
+	lexErr   error
 	typedefs map[string]cltypes.Type
 	structs  map[string]*cltypes.StructT
 	prog     *ast.Program
 }
 
-func (p *parser) peek() lexer.Token { return p.toks[p.pos] }
-func (p *parser) peekN(n int) lexer.Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+func newParser(src string) parser {
+	p := parser{lex: lexer.New(src), typedefs: map[string]cltypes.Type{}, structs: map[string]*cltypes.StructT{}}
+	for range p.win {
+		p.next()
 	}
-	return p.toks[p.pos+n]
+	return p
 }
-func (p *parser) next() lexer.Token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *parser) peek() lexer.Token { return p.win[0] }
+
+// peekN returns the token n places past the current one. Past the end
+// of input, and past a lexical error, every token is EOF.
+func (p *parser) peekN(n int) lexer.Token { return p.win[n] }
+
+// next consumes the current token and scans one more into the window.
+// After a lexical error the window fills with zero Tokens, which are EOF.
+func (p *parser) next() lexer.Token {
+	t := p.win[0]
+	p.win[0], p.win[1], p.win[2] = p.win[1], p.win[2], lexer.Token{}
+	if p.lexErr == nil {
+		p.win[2], p.lexErr = p.lex.Next()
+	}
+	return t
+}
+
+// finish settles a parse's error: the source's first lexical error wins,
+// so after a syntax error the rest of the input is still scanned for one.
+func (p *parser) finish(err error) error {
+	for err != nil && p.next().Kind != lexer.EOF {
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+// found names the current token in a diagnostic.
+func (p *parser) found() string {
+	t := p.peek()
+	if t.Kind == lexer.EOF {
+		return "end of input"
+	}
+	return strconv.Quote(t.Text)
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.peek()
@@ -73,7 +107,7 @@ func (p *parser) errf(format string, args ...any) error {
 func (p *parser) accept(text string) bool {
 	t := p.peek()
 	if (t.Kind == lexer.Punct || t.Kind == lexer.Keyword) && t.Text == text {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -81,7 +115,7 @@ func (p *parser) accept(text string) bool {
 
 func (p *parser) expect(text string) error {
 	if !p.accept(text) {
-		return p.errf("expected %q, found %q", text, p.peek().Text)
+		return p.errf("expected %q, found %s", text, p.found())
 	}
 	return nil
 }
@@ -180,7 +214,7 @@ func (p *parser) parseTypeSpec() (typeSpec, error) {
 	}
 	t := p.peek()
 	if t.Kind != lexer.Ident {
-		return ts, p.errf("expected type name, found %q", t.Text)
+		return ts, p.errf("expected type name, found %s", p.found())
 	}
 	if s, ok := cltypes.ScalarByName(t.Text); ok {
 		p.next()
@@ -208,7 +242,7 @@ func (p *parser) parseDeclarator(ts typeSpec) (string, cltypes.Type, error) {
 		stars++
 	}
 	if p.peek().Kind != lexer.Ident {
-		return "", nil, p.errf("expected declarator name, found %q", p.peek().Text)
+		return "", nil, p.errf("expected declarator name, found %s", p.found())
 	}
 	name := p.next().Text
 	var dims []int
@@ -388,7 +422,7 @@ func (p *parser) topDecl() error {
 		stars++
 	}
 	if p.peek().Kind != lexer.Ident {
-		return p.errf("expected declarator name, found %q", p.peek().Text)
+		return p.errf("expected declarator name, found %s", p.found())
 	}
 	name := p.next().Text
 	if p.peek().Text == "(" {
@@ -807,11 +841,28 @@ var precLevels = [][]struct {
 	{{"*", ast.Mul}, {"/", ast.Div}, {"%", ast.Mod}},
 }
 
-func (p *parser) binExpr(level int) (ast.Expr, error) {
-	if level >= len(precLevels) {
-		return p.unaryExpr()
+// binOp is a binary operator with its precedence level.
+type binOp struct {
+	op    ast.BinOp
+	level int
+}
+
+// binOps indexes precLevels by operator spelling.
+var binOps = func() map[string]binOp {
+	m := map[string]binOp{}
+	for level, ops := range precLevels {
+		for _, o := range ops {
+			m[o.text] = binOp{o.op, level}
+		}
 	}
-	l, err := p.binExpr(level + 1)
+	return m
+}()
+
+// binExpr parses a binary expression whose operators sit at level or
+// tighter, by precedence climbing: the right operand of an operator
+// takes only tighter ones, so every operator associates to the left.
+func (p *parser) binExpr(level int) (ast.Expr, error) {
+	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -820,22 +871,16 @@ func (p *parser) binExpr(level int) (ast.Expr, error) {
 		if t.Kind != lexer.Punct {
 			return l, nil
 		}
-		matched := false
-		for _, cand := range precLevels[level] {
-			if t.Text == cand.text {
-				p.next()
-				r, err := p.binExpr(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				l = &ast.Binary{Op: cand.op, L: l, R: r}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		b, ok := binOps[t.Text]
+		if !ok || b.level < level {
 			return l, nil
 		}
+		p.next()
+		r, err := p.binExpr(b.level + 1)
+		if err != nil {
+			return nil, err
+		}
+		l = &ast.Binary{Op: b.op, L: l, R: r}
 	}
 }
 

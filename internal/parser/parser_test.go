@@ -77,22 +77,52 @@ func TestParseConstructs(t *testing.T) {
 }
 
 // TestParseErrors checks that malformed programs are rejected with
-// positioned diagnostics (build failures, not panics).
+// positioned diagnostics (build failures, not panics), word for word.
+// The source's first lexical error is reported even when a syntax
+// error comes before it. An empty want means the source parses.
 func TestParseErrors(t *testing.T) {
-	srcs := []string{
-		`kernel void k(global ulong *out) {`,            // unterminated block
-		`kernel void k() { int 3x = 1; }`,               // bad declarator
-		`kernel void k() { int x = ; }`,                 // missing initializer
-		`struct S { int }; kernel void k() {}`,          // missing field name
-		`kernel void k() { x???; }`,                     // garbage expression
-		`kernel int k(global ulong *out) { return 1; }`, // handled by sema, must still parse or fail cleanly
-		`kernel void k() { for (;;) }`,                  // missing body
-		`typedef struct T2; kernel void k() {}`,         // bad typedef of unknown tag
+	cases := []struct{ src, want string }{
+		{`kernel void k(global ulong *out) {`, `1:35: unexpected EOF in block`},
+		{`kernel void k() { int 3x = 1; }`, `1:23: expected declarator name, found "3"`},
+		{`kernel void k() { int x = ; }`, `1:27: unexpected token ";" in expression`},
+		{`struct S { int }; kernel void k() {}`, `1:16: expected declarator name, found "}"`},
+		{`kernel void k() { x???; }`, `1:21: unexpected token "?" in expression`},
+		{`kernel int k(global ulong *out) { return 1; }`, ``}, // rejected by sema, not the parser
+		{`kernel void k() { for (;;) }`, `1:28: unexpected token "}" in expression`},
+		{`typedef struct T2; kernel void k() {}`, `1:18: unknown struct T2 in typedef`},
+		{`kernel void k(global ulong *out) { int x = 1`, `1:45: expected ";", found end of input`},
+		{`kernel void k()`, `1:16: expected "{", found end of input`},
+		{`kernel void`, `1:12: expected declarator name, found end of input`},
+		{`kernel`, `1:7: expected type name, found end of input`},
+		{`kernel void k() { int x; x = 4 5; }`, `1:32: expected ";", found "5"`},
+		// Lexical errors, before and after a syntax error.
+		{`kernel void k() { int x = 0x; }`, `1:29: malformed hex literal`},
+		{`kernel void k() {} @`, `1:20: unexpected character '@'`},
+		{`kernel void k() { x???; } @`, `1:27: unexpected character '@'`},
+		{`kernel void k() { int x = 1 } /* open`, `1:38: unterminated block comment`},
 	}
-	for i, src := range srcs {
-		_, err := parser.Parse(src)
-		if err == nil && i != 5 {
-			t.Errorf("malformed program %d unexpectedly parsed", i)
+	for _, c := range cases {
+		got := ""
+		if _, err := parser.Parse(c.src); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("Parse(%q) error %q, want %q", c.src, got, c.want)
+		}
+	}
+	exprs := []struct{ src, want string }{
+		{`(1`, `1:3: expected ")", found end of input`},
+		{`1 2`, `1:3: trailing tokens after expression`},
+		{`1 2 @`, `1:5: unexpected character '@'`},
+		{`a + b /* open`, `1:14: unterminated block comment`},
+	}
+	for _, c := range exprs {
+		got := ""
+		if _, err := parser.ParseExpr(c.src); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("ParseExpr(%q) error %q, want %q", c.src, got, c.want)
 		}
 	}
 }
@@ -119,27 +149,46 @@ func TestLiteralTyping(t *testing.T) {
 	}
 }
 
-// TestPrecedence checks the classic binding cases against the tree shape.
+// TestPrecedence pins the tree shape of binary expressions. The printer
+// parenthesizes every binary node, so the printed form of a parse is its
+// shape. For every pair of adjacent precedence levels the tighter
+// operator binds first on either side of the looser one, and operators
+// of one level group left to right (a - b - c, a << b >> c, a / b % c).
 func TestPrecedence(t *testing.T) {
-	e, err := parser.ParseExpr("1 + 2 * 3")
-	if err != nil {
-		t.Fatal(err)
+	check := func(src, want string) {
+		t.Helper()
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := ast.PrintExpr(e); got != want {
+			t.Errorf("%s parsed as %s, want %s", src, got, want)
+		}
 	}
-	add, ok := e.(*ast.Binary)
-	if !ok || add.Op != ast.Add {
-		t.Fatalf("top is %T, want +", e)
+	levels := [][]string{ // loosest first
+		{"||"}, {"&&"}, {"|"}, {"^"}, {"&"},
+		{"==", "!="}, {"<", ">", "<=", ">="}, {"<<", ">>"}, {"+", "-"}, {"*", "/", "%"},
 	}
-	if mul, ok := add.R.(*ast.Binary); !ok || mul.Op != ast.Mul {
-		t.Error("* must bind tighter than +")
+	for i, ops := range levels {
+		for _, x := range ops {
+			for _, y := range ops {
+				check("a "+x+" b "+y+" c", "((a "+x+" b) "+y+" c)")
+			}
+			if i+1 == len(levels) {
+				continue
+			}
+			for _, y := range levels[i+1] {
+				check("a "+x+" b "+y+" c", "(a "+x+" (b "+y+" c))")
+				check("a "+y+" b "+x+" c", "((a "+y+" b) "+x+" c)")
+			}
+		}
 	}
-	e, err = parser.ParseExpr("1 << 2 + 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh, ok := e.(*ast.Binary); !ok || sh.Op != ast.Shl {
-		t.Error("+ must bind tighter than <<")
-	}
-	e, err = parser.ParseExpr("a = b , c")
+	check("a || b && c | d ^ e & f == g < h << i + j * k",
+		"(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))))")
+	check("a * b + c << d < e == f & g ^ h | i && j || k",
+		"((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k)")
+	check("-a * b", "((-a) * b)")
+	e, err := parser.ParseExpr("a = b , c")
 	if err != nil {
 		t.Fatal(err)
 	}
