@@ -193,17 +193,21 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 // shares. The kernel is barrier-free and the folds and the optimizer
 // leave it unchanged, so every configuration at one level compiles it to
 // one program, although several fold-stage keys, each with its own
-// lowering, reach it. The matrix runs the reference and all 21
-// configurations at one level, representatives one at a time, once with
-// the process pinned to each engine: both must execute equally often and
-// agree on every unit. (Keyed on the bytecode too, the VM executed 3 and
-// 5 times where the tree engine executed once and twice.)
+// lowering, reach it: its rotate call has a non-literal operand, so
+// configurations 14± key the fold stage on WCRotateConstFold, which
+// leaves the program as it is, and configurations that ignore the
+// optimization flag key it on optimize off. The matrix runs the
+// reference and all 21 configurations at one level, representatives one
+// at a time, once with the process pinned to each engine: both must
+// execute equally often and agree on every unit. (Keyed on the bytecode
+// too, the VM executed 2 and 3 times where the tree engine executed
+// once.)
 func TestVMSharesAsTreeEngine(t *testing.T) {
 	nd := exec.NDRange{Global: [3]int{4, 1, 1}, Local: [3]int{2, 1, 1}}
 	src := `
 kernel void k(global ulong *out) {
     ulong id = get_global_id(0);
-    out[id] = id * 3UL + 1UL;
+    out[id] = rotate(id, 3UL) * 3UL + 1UL;
 }
 `
 	cfgs := append([]*device.Config{device.Reference()}, device.All()...)

@@ -11,23 +11,18 @@ import (
 	"clfuzz/internal/sema"
 )
 
-// Defect bits each compile stage actually consults. The staged caches
-// below key on the intersection of a level's defect set with these masks,
-// so configurations whose models differ only in executor-level or
-// hash-gate defects share the expensive stage products outright. The
-// cached-vs-uncached determinism tests (internal/harness and
-// TestBackCacheMatchesUncached) pin these masks: a defect added to sema
-// or opt without extending the mask makes the cached path visibly diverge
+// semaDefects are the only bits semantic analysis reads (all three gate
+// rejections; annotations never depend on the defect set, so every
+// successful check of one source yields the identical program). The sema
+// stage keys on a level's defect set masked to them; the fold stage keys
+// on the bits opt.FoldDefects reports for the checked program. So
+// configurations whose models differ only in bits a stage cannot act on
+// share its product outright. The cached-vs-uncached determinism tests
+// (internal/harness and TestBackCacheMatchesUncached) pin both keys: a
+// defect added to sema without extending semaDefects, or to opt without
+// opt.FoldDefects reporting it, makes the cached path visibly diverge
 // from the CompileUncached reference.
-const (
-	// semaDefects: the only bits semantic analysis reads (all three gate
-	// rejections; annotations never depend on the defect set, so every
-	// successful check of one source yields the identical program).
-	semaDefects = bugs.FEIntSizeTMix | bugs.FEVectorLogicalReject | bugs.FEVectorInStructICE
-	// foldDefects: the bits the front-end folds and the optimization
-	// pipeline read (rotate and swizzle misfolds, the group-id flip).
-	foldDefects = bugs.WCRotateConstFold | bugs.WCGroupIDExpr | bugs.WCSwizzleFold
-)
+const semaDefects = bugs.FEIntSizeTMix | bugs.FEVectorLogicalReject | bugs.FEVectorInStructICE
 
 // backEnd is the immutable product of one back-end compilation: the
 // outcome with its diagnostic, and for OK outcomes the checked, folded,
@@ -51,16 +46,18 @@ type checkedKey struct {
 	defects bugs.Set
 }
 
-// checkedEntry is a memoized sema product: the annotated program and its
-// summary, or the build diagnostic that rejected the source.
+// checkedEntry is a memoized sema product: the annotated program, its
+// summary and the fold defects it can trigger (opt.FoldDefects), or the
+// build diagnostic that rejected the source.
 type checkedEntry struct {
 	prog   *ast.Program
 	info   *sema.Info
+	fold   bugs.Set
 	errMsg string
 }
 
-// progKey addresses the fold/optimize stage: defects is masked to
-// foldDefects.
+// progKey addresses the fold/optimize stage: defects is masked to the
+// checked program's fold defects.
 type progKey struct {
 	hash     uint64
 	defects  bugs.Set
@@ -112,14 +109,16 @@ func lowerProgram(prog *ast.Program) (*code.Program, error) {
 // each compile stage. It holds two stage memos, keyed on what each phase
 // actually depends on: one sema product per (source, semaDefects) — in
 // practice one per source, since rejections are rare — and one
-// folded/optimized/lowered program per (source, foldDefects, effective
-// optimize). Defect models that differ only in executor-level or
-// compile-gate defects therefore share every expensive phase and receive
-// the same Prog, Info and Code objects — the four identical NVIDIA
-// levels, the shared Intel CPU no-opt model and Oclgrind's ignored
-// optimization flag among them — while the gates are re-evaluated per
-// compile. Programs for different fold inputs share all untouched
-// subtrees (the passes are copy-on-write).
+// folded/optimized/lowered program per (source, fold defects, effective
+// optimize), where the fold defects are the level's defect bits that
+// opt.FoldDefects reports the checked program can trigger. Defect models
+// that differ only in bits neither stage can act on for this source
+// therefore share every expensive phase and receive the same Prog, Info
+// and Code objects — on a source with no rotate, swizzle or gated
+// group-id call, one program per effective optimize level for every
+// configuration — while the gates are re-evaluated per compile. Programs
+// for different fold inputs share all untouched subtrees (the passes are
+// copy-on-write).
 //
 // Both stages are memo.FIFOs, like the FrontCache: eviction follows
 // insertion order, and the memoized artifact for a key never varies, so
@@ -162,7 +161,7 @@ func (bc *BackCache) assemble(fe *FrontEnd, lvl Level, effOpt bool) *backEnd {
 		be.outcome, be.msg = out, msg
 		return be
 	}
-	pe, folded := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & foldDefects, optimize: effOpt}, fe, ce.prog)
+	pe, folded := bc.progFor(progKey{hash: fe.Hash, defects: lvl.Defects & ce.fold, optimize: effOpt}, fe, ce.prog)
 	if folded && !missed {
 		bc.misses.Add(1)
 	}
@@ -182,9 +181,11 @@ func (bc *BackCache) checkedFor(key checkedKey, fe *FrontEnd) (ce *checkedEntry,
 		return e, false
 	}
 	prog, info, err := sema.Check(fe.Prog, key.defects)
-	ne := &checkedEntry{prog: prog, info: info}
+	ne := &checkedEntry{}
 	if err != nil {
-		ne.prog, ne.info, ne.errMsg = nil, nil, err.Error()
+		ne.errMsg = err.Error()
+	} else {
+		ne.prog, ne.info, ne.fold = prog, info, opt.FoldDefects(prog, fe.Hash)
 	}
 	bc.checked.Add(key, fe.Canon, ne)
 	return ne, true

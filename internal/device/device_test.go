@@ -1,11 +1,14 @@
 package device_test
 
 import (
+	"sync"
 	"testing"
 
+	"clfuzz/internal/ast"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
+	"clfuzz/internal/exhibits"
 	"clfuzz/internal/generator"
 	"clfuzz/internal/oracle"
 )
@@ -69,6 +72,71 @@ func TestCompileDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBackCacheMatchesUncached is the back-end half of the cache
+// determinism contract: for every configuration and optimization level,
+// the kernel produced through the shared BackCache must print to the same
+// source, report the same outcome and diagnostic, and carry the same
+// semantic summary as the cache-bypassing path that re-checks and
+// re-optimizes from a fresh parse. The sources reach every fold model the
+// fold stage's key must keep apart: the Figure 2(b) exhibit (rotate and
+// swizzle folds), the Figure 2(e) exhibit (the gated group-id flip) and a
+// literal swizzle. Run under -race in CI, it also exercises concurrent
+// compiles against one cache.
+func TestBackCacheMatchesUncached(t *testing.T) {
+	srcs := []string{`
+kernel void entry(global ulong *out) {
+    ulong v = 1UL;
+    out[get_linear_global_id()] = v;
+}
+`, `
+kernel void entry(global ulong *out) {
+    ulong v = 2UL;
+    out[get_linear_global_id()] = v;
+}
+`, `
+kernel void entry(global ulong *out) {
+    int s = 0;
+    for (int i = 0; i < 4; i++) { s += i; }
+    out[get_linear_global_id()] = (ulong)(uint)(s * 1 + 0);
+}
+`, exhibits.ByID("2b").Src, exhibits.ByID("2e").Src, `
+kernel void entry(global ulong *out) {
+    uint4 v = (uint4)(5, 6, 7, 8);
+    out[get_linear_global_id()] = (ulong)((uint4)(1, 2, 3, 4)).z + (ulong)v.w;
+}
+`}
+	var wg sync.WaitGroup
+	for _, src := range srcs {
+		for _, cfg := range device.All() {
+			for _, optimize := range []bool{false, true} {
+				wg.Add(1)
+				go func(src string, cfg *device.Config, optimize bool) {
+					defer wg.Done()
+					cached := cfg.Compile(src, optimize)
+					plain := cfg.CompileUncached(src, optimize)
+					if cached.Outcome != plain.Outcome || cached.Msg != plain.Msg {
+						t.Errorf("config %d opt=%v: cached (%v, %q) != uncached (%v, %q)",
+							cfg.ID, optimize, cached.Outcome, cached.Msg, plain.Outcome, plain.Msg)
+						return
+					}
+					if cached.Outcome != device.OK {
+						return
+					}
+					if g, w := ast.Print(cached.Kernel.Prog), ast.Print(plain.Kernel.Prog); g != w {
+						t.Errorf("config %d opt=%v: cached program differs from uncached\n--- cached ---\n%s\n--- uncached ---\n%s",
+							cfg.ID, optimize, g, w)
+					}
+					if *cached.Kernel.Info != *plain.Kernel.Info {
+						t.Errorf("config %d opt=%v: cached info %+v != uncached %+v",
+							cfg.ID, optimize, *cached.Kernel.Info, *plain.Kernel.Info)
+					}
+				}(src, cfg, optimize)
+			}
+		}
+	}
+	wg.Wait()
 }
 
 // TestReferenceIsClean: the reference configuration never rejects, crashes

@@ -26,12 +26,15 @@
 //     optimization pipeline, and lowering to the register bytecode the
 //     VM runs — is memoized in a BackCache (DefaultBackCache) with one
 //     memo per expensive stage, each keyed on the source hash and the
-//     defect bits that stage reads: sema per (source, semaDefects), and
-//     fold/optimize/lower per (source, foldDefects, effective optimize).
-//     Every (configuration, level) pair whose defect model those stages
-//     cannot tell apart gets the same read-only program, summary and
-//     bytecode: the four identical NVIDIA levels, the shared Intel CPU
-//     no-opt model, and Oclgrind's ignored optimization flag among them.
+//     defect bits that stage can act on: sema per (source, semaDefects),
+//     and fold/optimize/lower per (source, fold defects, effective
+//     optimize), where the fold defects are the level's bits among those
+//     opt.FoldDefects reports for the checked program. Every
+//     (configuration, level) pair whose defect model those stages cannot
+//     tell apart on the source gets the same read-only program, summary
+//     and bytecode: a source with no rotate call, swizzle or gated
+//     group-id call compiles (and lowers) once per effective optimize
+//     level for all 21 configurations.
 //     Only the cheap compile-time gates run on every compile.
 //
 // Lowering is total: a program internal/code cannot lower is a build

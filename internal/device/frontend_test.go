@@ -6,8 +6,12 @@ import (
 	"testing"
 
 	"clfuzz/internal/ast"
+	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/bugs"
+	"clfuzz/internal/code"
 	"clfuzz/internal/generator"
+	"clfuzz/internal/opt"
+	"clfuzz/internal/sema"
 )
 
 func kernelSrc(i int) string {
@@ -163,51 +167,49 @@ func TestCompileFrontEndSharedIsolation(t *testing.T) {
 	}
 }
 
-// TestBackCacheMatchesUncached is the back-end half of the cache
-// determinism contract: for every configuration and optimization level,
-// the kernel produced through the shared BackCache must print to the same
-// source, report the same outcome and diagnostic, and carry the same
-// semantic summary as the cache-bypassing path that re-checks and
-// re-optimizes from a fresh parse. Run under -race in CI, it also
-// exercises concurrent compiles against one cache.
-func TestBackCacheMatchesUncached(t *testing.T) {
-	srcs := []string{kernelSrc(1), kernelSrc(2), `
-kernel void entry(global ulong *out) {
-    int s = 0;
-    for (int i = 0; i < 4; i++) { s += i; }
-    out[get_linear_global_id()] = (ulong)(uint)(s * 1 + 0);
-}
-`}
-	var wg sync.WaitGroup
-	for _, src := range srcs {
+// TestBackCacheFoldFreeOneProgram pins the fold stage's key. A source no
+// fold model can act on (opt.FoldDefects is empty), compiled on every
+// configuration at both levels through a fresh BackCache, yields one
+// program and one bytecode per effective optimize level, so device.Share
+// can serve any of those configurations from one execution. Keyed on all
+// three fold bits, the stage built four identical programs at opt=true.
+func TestBackCacheFoldFreeOneProgram(t *testing.T) {
+	srcs := []string{generator.Generate(generator.Options{Mode: generator.ModeBasic, Seed: 5, MaxTotalThreads: 16}).Src}
+	for _, b := range benchmarks.All() {
+		srcs = append(srcs, b.Src)
+	}
+	for i, src := range srcs {
+		fe := ParseFrontEnd(src)
+		if fe.Err != nil {
+			t.Fatalf("source %d: parse: %v", i, fe.Err)
+		}
+		checked, _, err := sema.Check(fe.Prog, 0)
+		if err != nil {
+			t.Fatalf("source %d: sema: %v", i, err)
+		}
+		if fold := opt.FoldDefects(checked, fe.Hash); fold != 0 {
+			t.Fatalf("source %d: FoldDefects = %#x, want a source no fold model acts on", i, fold)
+		}
+		bc := NewBackCache(64)
+		progs := map[bool]map[*ast.Program]bool{false: {}, true: {}}
+		codes := map[bool]map[*code.Program]bool{false: {}, true: {}}
 		for _, cfg := range All() {
 			for _, optimize := range []bool{false, true} {
-				wg.Add(1)
-				go func(src string, cfg *Config, optimize bool) {
-					defer wg.Done()
-					cached := cfg.Compile(src, optimize)
-					plain := cfg.CompileUncached(src, optimize)
-					if cached.Outcome != plain.Outcome || cached.Msg != plain.Msg {
-						t.Errorf("config %d opt=%v: cached (%v, %q) != uncached (%v, %q)",
-							cfg.ID, optimize, cached.Outcome, cached.Msg, plain.Outcome, plain.Msg)
-						return
-					}
-					if cached.Outcome != OK {
-						return
-					}
-					if g, w := ast.Print(cached.Kernel.Prog), ast.Print(plain.Kernel.Prog); g != w {
-						t.Errorf("config %d opt=%v: cached program differs from uncached\n--- cached ---\n%s\n--- uncached ---\n%s",
-							cfg.ID, optimize, g, w)
-					}
-					if *cached.Kernel.Info != *plain.Kernel.Info {
-						t.Errorf("config %d opt=%v: cached info %+v != uncached %+v",
-							cfg.ID, optimize, *cached.Kernel.Info, *plain.Kernel.Info)
-					}
-				}(src, cfg, optimize)
+				effOpt := optimize && !cfg.NoOptimizer
+				be := bc.assemble(fe, cfg.Level(optimize), effOpt)
+				if be.outcome == OK {
+					progs[effOpt][be.prog] = true
+					codes[effOpt][be.code] = true
+				}
+			}
+		}
+		for _, effOpt := range []bool{false, true} {
+			if len(progs[effOpt]) != 1 || len(codes[effOpt]) != 1 {
+				t.Errorf("source %d, effective optimize %v: %d programs and %d bytecodes, want 1 and 1",
+					i, effOpt, len(progs[effOpt]), len(codes[effOpt]))
 			}
 		}
 	}
-	wg.Wait()
 }
 
 // TestBackCacheSecondPassHits pins that the two stage memos alone serve

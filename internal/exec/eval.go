@@ -362,8 +362,8 @@ func (t *thread) execLoop(forNode *ast.For, cond ast.Expr, post ast.Expr, body *
 	// Figure 2(d): Intel configs 14-/15- miscompile a loop whose body is
 	// unreachable but contains a barrier; non-leader threads observe the
 	// loop's init assignment clobbered to 1.
-	if forNode != nil && iterations == 0 && t.m.defect(bugs.WCDeadLoopBarrier) &&
-		t.lidLinear() != 0 && code.ContainsBarrier(forNode.Body) {
+	if forNode != nil && iterations == 0 && t.lidLinear() != 0 &&
+		code.ContainsBarrier(forNode.Body) && t.m.defect(bugs.WCDeadLoopBarrier) {
 		if es, ok := forNode.Init.(*ast.ExprStmt); ok {
 			if asn, ok := es.X.(*ast.AssignExpr); ok {
 				lv, err := t.evalLV(asn.LHS)
@@ -460,7 +460,7 @@ func (t *thread) evalInit(typ cltypes.Type, init ast.Expr, out *Value) error {
 				// initialize only the first two bytes of a union containing
 				// a struct member with a small leading field; the remaining
 				// bytes read back as ones.
-				if t.m.defect(bugs.WCUnionInit) && unionHasSmallLeadStruct(tt) {
+				if unionHasSmallLeadStruct(tt) && t.m.defect(bugs.WCUnionInit) {
 					for i := 2; i < len(c.Bytes) && i < tt.Fields[0].Type.Size(); i++ {
 						c.Bytes[i] = 0xff
 					}

@@ -636,23 +636,20 @@ func (t *thread) storeDefect(op ast.AssignOp, derefParam, arrowParam bool) (bool
 	}
 	// Figure 1(d), config 17: stores through a pointer-to-struct parameter
 	// are lost once a barrier has executed.
-	if t.m.defect(bugs.WCStructPtrWriteBarrier) && arrowParam {
+	if arrowParam && t.m.defect(bugs.WCStructPtrWriteBarrier) {
 		return true, nil
 	}
 	if t.m.opts.HasFwdDecl {
 		// Figure 2(c), configs 12-/13-: non-leader threads lose stores
 		// through pointer parameters after a barrier.
-		if t.m.defect(bugs.WCBarrierFwdDecl) && t.lidLinear() != 0 {
-			if derefParam || t.m.hashGate(0xf2c, 8) {
-				return true, nil
-			}
+		if t.lidLinear() != 0 && (derefParam || t.m.hashGate(0xf2c, 8)) &&
+			t.m.defect(bugs.WCBarrierFwdDecl) {
+			return true, nil
 		}
 		// Figure 2(c), configs 14-/15-: the same trigger crashes with a
 		// segmentation fault.
-		if t.m.defect(bugs.CrashBarrierFwdDecl) {
-			if derefParam || t.m.hashGate(0xf2d, 2) {
-				return false, &CrashError{Msg: "segmentation fault in barrier-split store"}
-			}
+		if (derefParam || t.m.hashGate(0xf2d, 2)) && t.m.defect(bugs.CrashBarrierFwdDecl) {
+			return false, &CrashError{Msg: "segmentation fault in barrier-split store"}
 		}
 	}
 	return false, nil
@@ -663,7 +660,7 @@ func (t *thread) storeDefect(op ast.AssignOp, derefParam, arrowParam bool) (bool
 func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
 	// Figure 1(b), configs 10-/11-: with Nx == 1, a struct copy loses
 	// array element 7.
-	if t.m.defect(bugs.WCStructCopyNx1) && t.m.nd.Global[0] == 1 {
+	if t.m.nd.Global[0] == 1 && t.m.defect(bugs.WCStructCopyNx1) {
 		for i, f := range st.Fields {
 			if at, ok := f.Type.(*cltypes.Array); ok && at.Len > 7 {
 				if _, ok := at.Elem.(*cltypes.Scalar); ok {
@@ -674,7 +671,7 @@ func (t *thread) corruptStructCopy(dst *Cell, st *cltypes.StructT) {
 	}
 	// §6 struct problems (configs 7/8 and older drivers): hash-gated loss
 	// of the last field of structs containing nested aggregates.
-	if t.m.defect(bugs.WCStructDeep) && t.m.hashGate(0x57de, 3) {
+	if t.m.hashGate(0x57de, 3) && t.m.defect(bugs.WCStructDeep) {
 		hasAgg := false
 		for _, f := range st.Fields {
 			switch f.Type.(type) {

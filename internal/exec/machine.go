@@ -505,6 +505,10 @@ func (m *Machine) noteSteps(th *thread) {
 // defect reports whether the launch's defect set arms bit b, and records
 // that the launch tested it. Every executor read of Options.Defects goes
 // through here, so Stats.Tested covers every bit the outcome depends on.
+// Each site calls it last, after the structural and hash-gate conditions
+// the bit guards, so a launch records a bit only where the bit alone
+// decides a branch and shares with every launch that reaches no such
+// site (device.Share).
 func (m *Machine) defect(b bugs.Set) bool {
 	m.stats.Tested |= b
 	return m.opts.Defects.Has(b)

@@ -241,7 +241,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 				if cov != nil {
 					cov.hitSite(CoverSiteDeadLoop)
 				}
-				if t.m.defect(bugs.WCDeadLoopBarrier) && t.lidLinear() != 0 {
+				if t.lidLinear() != 0 && t.m.defect(bugs.WCDeadLoopBarrier) {
 					t.vmDeadLoopDefect(le, fr)
 				}
 			}
@@ -702,7 +702,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			if err := encodeValue(c.Bytes, &fv, tt.Fields[0].Type); err != nil {
 				return err
 			}
-			if t.m.defect(bugs.WCUnionInit) && unionHasSmallLeadStruct(tt) {
+			if unionHasSmallLeadStruct(tt) && t.m.defect(bugs.WCUnionInit) {
 				for i := 2; i < len(c.Bytes) && i < tt.Fields[0].Type.Size(); i++ {
 					c.Bytes[i] = 0xff
 				}

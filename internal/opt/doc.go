@@ -14,7 +14,10 @@
 // applies, or a new program sharing all untouched subtrees, and never
 // writes to its input, so compiled programs are immutable and may be
 // shared across configurations and concurrent launches (device.BackCache).
+// FoldDefects reports which of the defect bits these passes read a
+// checked program can trigger; device.BackCache keys its fold stage on
+// them, so this package alone knows which bits its passes read.
 // File map: opt.go (pipeline driver, COW rewriters, read-only
-// inspectors), passes.go (individual passes), simplify.go (expression
-// rewrites).
+// inspectors), passes.go (individual passes and the defect-model
+// rewrites), simplify.go (expression rewrites).
 package opt

@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"clfuzz/internal/ast"
+	"clfuzz/internal/benchmarks"
 	"clfuzz/internal/bugs"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
+	"clfuzz/internal/exhibits"
 	"clfuzz/internal/generator"
 	"clfuzz/internal/opt"
 	"clfuzz/internal/oracle"
@@ -254,6 +256,53 @@ func TestRotateFoldDefect(t *testing.T) {
 	prog2 = opt.EarlyFolds(prog2, 0, 0)
 	if strings.Contains(ast.Print(prog2), "4294967295u") {
 		t.Error("healthy front end corrupted rotate")
+	}
+}
+
+// TestFoldDefects pins what the fold stage keys on: opt.FoldDefects
+// names each fold model a checked program can trigger, so the back cache
+// builds one program for every defect set that differs only outside it.
+// The Figure 2(b) exhibit reads a swizzle of a rotate call, the Figure
+// 2(e) exhibit's source is tuned to pass the group-id gate, and a port
+// gives no fold model anything to act on.
+func TestFoldDefects(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      bugs.Set
+	}{
+		{"fig2b", exhibits.ByID("2b").Src, bugs.WCRotateConstFold | bugs.WCSwizzleFold},
+		{"fig2e", exhibits.ByID("2e").Src, bugs.WCGroupIDExpr},
+		{"literal swizzle", `kernel void k(global ulong *out) {
+			out[0] = (ulong)((uint4)(1, 2, 3, 4)).y;
+		}`, bugs.WCSwizzleFold},
+		{"port " + benchmarks.BFS().Name, benchmarks.BFS().Src, 0},
+	}
+	for _, c := range cases {
+		fe := device.ParseFrontEnd(c.src)
+		if fe.Err != nil {
+			t.Fatalf("%s: parse: %v", c.name, fe.Err)
+		}
+		prog, _, err := sema.Check(fe.Prog, 0)
+		if err != nil {
+			t.Fatalf("%s: sema: %v", c.name, err)
+		}
+		if got := opt.FoldDefects(prog, fe.Hash); got != c.want {
+			t.Errorf("%s: FoldDefects = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+	// The group-id model is gated on the source hash: a hash that fails
+	// the gate drops the bit.
+	fe := device.ParseFrontEnd(exhibits.ByID("2e").Src)
+	prog, _, err := sema.Check(fe.Prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := uint64(0)
+	for opt.GroupIDGate(hash) {
+		hash++
+	}
+	if got := opt.FoldDefects(prog, hash); got != 0 {
+		t.Errorf("fig2e with a hash that fails the group-id gate: FoldDefects = %#x, want none", got)
 	}
 }
 

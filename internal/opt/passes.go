@@ -332,6 +332,42 @@ func foldSwizzle(ex *ast.Swizzle, defects bugs.Set) ast.Expr {
 
 // ---- defect-model rewrites (EarlyFolds) ----
 
+// FoldDefects reports the defect bits EarlyFolds and Optimize can act on
+// for a checked program p with source hash hash: WCRotateConstFold when p
+// calls rotate, WCGroupIDExpr when the hash passes GroupIDGate and p calls
+// a group-id builtin, and WCSwizzleFold when p has a swizzle (sema has
+// already turned vector member accesses into swizzles). Each is a
+// superset of its model's trigger, because no pass creates a call or a
+// swizzle. A bit outside the result leaves both pipelines' output
+// unchanged, so compiles that differ only in such bits build one program.
+func FoldDefects(p *ast.Program, hash uint64) bugs.Set {
+	var s bugs.Set
+	fn := func(e ast.Expr) {
+		switch ex := e.(type) {
+		case *ast.Call:
+			if ex.Name == "rotate" {
+				s |= bugs.WCRotateConstFold
+			} else if isGroupIDBuiltin(ex.Name) {
+				s |= bugs.WCGroupIDExpr
+			}
+		case *ast.Swizzle:
+			s |= bugs.WCSwizzleFold
+		}
+	}
+	for _, g := range p.Globals {
+		inspectExpr(g.Init, fn)
+	}
+	for _, f := range p.Funcs {
+		if f.Body != nil {
+			inspectStmt(f.Body, fn)
+		}
+	}
+	if !GroupIDGate(hash) {
+		s &^= bugs.WCGroupIDExpr
+	}
+	return s
+}
+
 // foldRotateWrong miscompiles rotate() with fully-literal arguments to the
 // all-ones pattern (Figure 2(b): rotate((uint2)(1,1),(uint2)(0,0)).x was
 // constant-folded to 0xffffffff).
@@ -406,11 +442,13 @@ func flipGroupIDComparisons(e ast.Expr) ast.Expr {
 func containsGroupID(e ast.Expr) bool {
 	found := false
 	inspectExpr(e, func(x ast.Expr) {
-		if c, ok := x.(*ast.Call); ok {
-			if c.Name == "get_group_id" || c.Name == "get_linear_group_id" {
-				found = true
-			}
+		if c, ok := x.(*ast.Call); ok && isGroupIDBuiltin(c.Name) {
+			found = true
 		}
 	})
 	return found
+}
+
+func isGroupIDBuiltin(name string) bool {
+	return name == "get_group_id" || name == "get_linear_group_id"
 }

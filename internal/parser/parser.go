@@ -514,7 +514,7 @@ func (p *parser) blockStmt() (*ast.Block, error) {
 	b := &ast.Block{}
 	for !p.accept("}") {
 		if p.peek().Kind == lexer.EOF {
-			return nil, p.errf("unexpected EOF in block")
+			return nil, p.errf("unexpected end of input in block")
 		}
 		s, err := p.stmt()
 		if err != nil {
@@ -1062,6 +1062,9 @@ func (p *parser) primaryExpr() (ast.Expr, error) {
 			}
 			return e, p.expect(")")
 		}
+	}
+	if t.Kind == lexer.EOF {
+		return nil, p.errf("unexpected end of input in expression")
 	}
 	return nil, p.errf("unexpected token %q in expression", t.Text)
 }

@@ -82,7 +82,8 @@ func TestParseConstructs(t *testing.T) {
 // error comes before it. An empty want means the source parses.
 func TestParseErrors(t *testing.T) {
 	cases := []struct{ src, want string }{
-		{`kernel void k(global ulong *out) {`, `1:35: unexpected EOF in block`},
+		{`kernel void k(global ulong *out) {`, `1:35: unexpected end of input in block`},
+		{`kernel void k(global ulong *out) { out[0] = 1 +`, `1:48: unexpected end of input in expression`},
 		{`kernel void k() { int 3x = 1; }`, `1:23: expected declarator name, found "3"`},
 		{`kernel void k() { int x = ; }`, `1:27: unexpected token ";" in expression`},
 		{`struct S { int }; kernel void k() {}`, `1:16: expected declarator name, found "}"`},
@@ -112,6 +113,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	exprs := []struct{ src, want string }{
 		{`(1`, `1:3: expected ")", found end of input`},
+		{`1 +`, `1:4: unexpected end of input in expression`},
 		{`1 2`, `1:3: trailing tokens after expression`},
 		{`1 2 @`, `1:5: unexpected character '@'`},
 		{`a + b /* open`, `1:14: unterminated block comment`},
