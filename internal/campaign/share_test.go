@@ -13,6 +13,8 @@ import (
 	"clfuzz/internal/device"
 	"clfuzz/internal/exec"
 	"clfuzz/internal/exhibits"
+	"clfuzz/internal/opt"
+	"clfuzz/internal/sema"
 )
 
 // shareKernel is one launch the sharing test runs on every
@@ -193,30 +195,49 @@ func TestLaunchShareMatchesUnshared(t *testing.T) {
 // shares. The kernel is barrier-free and the folds and the optimizer
 // leave it unchanged, so every configuration at one level compiles it to
 // one program, although several fold-stage keys, each with its own
-// lowering, reach it: its rotate call has a non-literal operand, so
-// configurations 14± key the fold stage on WCRotateConstFold, which
-// leaves the program as it is, and configurations that ignore the
-// optimization flag key it on optimize off. The matrix runs the
-// reference and all 21 configurations at one level, representatives one
-// at a time, once with the process pinned to each engine: both must
-// execute equally often and agree on every unit. (Keyed on the bytecode
-// too, the VM executed 2 and 3 times where the tree engine executed
-// once.)
+// lowering, reach it: its source is tuned to pass opt.GroupIDGate and it
+// calls get_group_id outside any comparison, so configurations 9, 10 and
+// 11 key the fold stage on WCGroupIDExpr, which leaves the program as it
+// is, and configurations that ignore the optimization flag key it on
+// optimize off. The test first requires at least two fold keys at each
+// level, so a later narrowing of opt.FoldDefects cannot leave it unable
+// to fail. The matrix runs the reference and all 21 configurations at
+// one level, representatives one at a time, once with the process
+// pinned to each engine: both must execute equally often and agree on
+// every unit. (Keyed on the bytecode too, the VM executed 2 and 3 times
+// where the tree engine executed once.)
 func TestVMSharesAsTreeEngine(t *testing.T) {
 	nd := exec.NDRange{Global: [3]int{4, 1, 1}, Local: [3]int{2, 1, 1}}
-	src := `
+	src := gateTuned(t, `
 kernel void k(global ulong *out) {
     ulong id = get_global_id(0);
-    out[id] = rotate(id, 3UL) * 3UL + 1UL;
+    out[id] = get_group_id(0) * 3UL + id;
 }
-`
+`, func(src string) bool {
+		return opt.GroupIDGate(bugs.Hash(device.CanonicalSource(src))) &&
+			device.ByID(9).GatesClean(src, false) && device.ByID(9).GatesClean(src, true)
+	})
+	fe := device.ParseFrontEnd(src)
+	if fe.Err != nil {
+		t.Fatal(fe.Err)
+	}
+	checked, _, err := sema.Check(fe.Prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := opt.FoldDefects(checked, fe.Hash)
 	cfgs := append([]*device.Config{device.Reference()}, device.All()...)
 	saved := device.TreeEngine
 	t.Cleanup(func() { device.TreeEngine = saved })
-	for _, opt := range []bool{false, true} {
+	for _, optimize := range []bool{false, true} {
 		var units []campaign.Unit
+		keys := map[bugs.Set]bool{}
 		for _, cfg := range cfgs {
-			units = append(units, campaign.Unit{Cfg: cfg, Opt: opt})
+			units = append(units, campaign.Unit{Cfg: cfg, Opt: optimize})
+			keys[cfg.Level(optimize).Defects&fold] = true
+		}
+		if len(keys) < 2 {
+			t.Fatalf("optimize=%v: every configuration keys the fold stage on the same bits (FoldDefects %#x), so a share keyed on the bytecode too would pass", optimize, fold)
 		}
 		m := campaign.Matrix{
 			Name:    "vm-shares",
@@ -234,9 +255,9 @@ kernel void k(global ulong *out) {
 		}
 		vm, vmLaunched := run(false)
 		tree, treeLaunched := run(true)
-		t.Logf("optimize=%v: %d VM and %d tree-engine executions for %d units", opt, vmLaunched, treeLaunched, len(units))
+		t.Logf("optimize=%v: %d VM and %d tree-engine executions for %d units", optimize, vmLaunched, treeLaunched, len(units))
 		if vmLaunched != treeLaunched {
-			t.Errorf("optimize=%v: the VM executed %d times, the tree engine %d", opt, vmLaunched, treeLaunched)
+			t.Errorf("optimize=%v: the VM executed %d times, the tree engine %d", optimize, vmLaunched, treeLaunched)
 		}
 		for i, u := range units {
 			v, w := vm[i], tree[i]

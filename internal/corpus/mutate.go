@@ -15,12 +15,11 @@ import (
 // Origin tags name how a fuzzing-step kernel came to be; they appear in
 // StepRecord.Origin.
 const (
-	OriginFresh  = "fresh"      // fresh swarm-random generation
-	OriginEMI    = "emi"        // EMI dead-block injection into a member
-	OriginConst  = "const"      // integer-constant perturbation
-	OriginOp     = "op"         // operator swap within a category
-	OriginSplice = "splice"     // statement spliced in from a donor member
-	OriginQuar   = "quarantine" // synthesized for a quarantined shard
+	OriginFresh  = "fresh"  // fresh swarm-random generation
+	OriginEMI    = "emi"    // EMI dead-block injection into a member
+	OriginConst  = "const"  // integer-constant perturbation
+	OriginOp     = "op"     // operator swap within a category
+	OriginSplice = "splice" // statement spliced in from a donor member
 )
 
 // mutantSrcCap stops the stacked EMI growth once a member's source gets

@@ -114,11 +114,11 @@ func lowerProgram(prog *ast.Program) (*code.Program, error) {
 // opt.FoldDefects reports the checked program can trigger. Defect models
 // that differ only in bits neither stage can act on for this source
 // therefore share every expensive phase and receive the same Prog, Info
-// and Code objects — on a source with no rotate, swizzle or gated
-// group-id call, one program per effective optimize level for every
-// configuration — while the gates are re-evaluated per compile. Programs
-// for different fold inputs share all untouched subtrees (the passes are
-// copy-on-write).
+// and Code objects — on a source with no rotate with all-literal
+// operands, no swizzle and no gated group-id call, one program per
+// effective optimize level for every configuration — while the gates are
+// re-evaluated per compile. Programs for different fold inputs share all
+// untouched subtrees (the passes are copy-on-write).
 //
 // Both stages are memo.FIFOs, like the FrontCache: eviction follows
 // insertion order, and the memoized artifact for a key never varies, so

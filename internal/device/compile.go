@@ -24,7 +24,7 @@ const (
 	Crash
 	Timeout
 	// Canceled marks a launch stopped by cooperative cancellation (a
-	// supervisor deadline or SIGINT drain) before it finished. It is a
+	// caller's deadline or SIGINT drain) before it finished. It is a
 	// scheduling outcome, not a test observation: campaigns drop such
 	// records rather than folding them into any table.
 	Canceled

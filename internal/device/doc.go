@@ -32,9 +32,9 @@
 //     opt.FoldDefects reports for the checked program. Every
 //     (configuration, level) pair whose defect model those stages cannot
 //     tell apart on the source gets the same read-only program, summary
-//     and bytecode: a source with no rotate call, swizzle or gated
-//     group-id call compiles (and lowers) once per effective optimize
-//     level for all 21 configurations.
+//     and bytecode: a source with no rotate with all-literal operands,
+//     no swizzle and no gated group-id call compiles (and lowers) once
+//     per effective optimize level for all 21 configurations.
 //     Only the cheap compile-time gates run on every compile.
 //
 // Lowering is total: a program internal/code cannot lower is a build

@@ -173,7 +173,7 @@ type CrashError struct{ Msg string }
 func (e *CrashError) Error() string { return "crash: " + e.Msg }
 
 // CancelError reports a launch stopped by Options.Ctx before it could
-// finish: a supervisor deadline, a SIGINT drain, or a worker-pool kill.
+// finish: a caller's deadline, a SIGINT drain, or a worker-pool kill.
 // It is a scheduling outcome, not a property of the kernel, so callers
 // must never record it as a test observation.
 type CancelError struct{ Msg string }

@@ -105,7 +105,7 @@ const (
 // LaunchPool recycles launch working sets across kernel executions. A nil
 // Options.Pool uses a process-wide shared pool, so steady-state campaigns
 // are allocation-free by default; embedders that want memory isolation
-// (one pool per campaign engine, per fleet worker) pass their own.
+// (one pool per campaign engine) pass their own.
 //
 // States are acquired at the top of Run and returned when it exits
 // normally; a launch that panics on the calling goroutine drops its state

@@ -18,13 +18,13 @@
 // Params names the campaign, and every run of one goes through the
 // shard functions:
 //
-//   - RunShardOpts executes cases i, i+n, i+2n, … and emits a ShardFile
+//   - RunShard executes cases i, i+n, i+2n, … and emits a ShardFile
 //     — the machine-readable partial-results format behind
-//     `cltables -shard i/n`;
-//   - MergeShardPaths (`cltables -merge`) and MergeShardsNamed (the fleet
-//     supervisor) validate that a set of shard files covers every case
-//     exactly once and fold them into output byte-identical to the
-//     unsharded run;
+//     `cltables -shard i/n` — resuming from a prior partial file when
+//     given one;
+//   - MergeShardPaths (`cltables -merge`) validates that a set of shard
+//     files covers every case exactly once and folds them into output
+//     byte-identical to the unsharded run;
 //   - RenderCampaign is the unsharded path, and the only table path in
 //     one process, implemented as a one-shard run plus a merge so the two
 //     flows cannot diverge.
@@ -36,7 +36,7 @@
 // (exec.SetDebugImmutable) armed.
 //
 // Entry points: RunOn / RunEverywhere for single cases, RenderCampaign
-// for a whole table or fuzz campaign, RunShardOpts / MergeShardPaths for
+// for a whole table or fuzz campaign, RunShard / MergeShardPaths for
 // sharding, and the RenderTable* formatters that print the paper's
 // layouts.
 package harness

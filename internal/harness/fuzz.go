@@ -16,7 +16,7 @@ import (
 
 // FuzzTable is the Params.Table value of the coverage-guided fuzzing
 // campaign (cltables -fuzz) — not a paper table, but it rides the same
-// shard-record schema, so fleet runs merge coverage maps exactly like
+// shard-record schema, so shard merges fold coverage maps exactly like
 // table results.
 const FuzzTable = 6
 
@@ -34,9 +34,6 @@ func fuzzCampaign(eng *campaign.Engine, p Params) *shardCampaign {
 		cases: cases,
 		run: func(ctx context.Context, i int) any {
 			return chains()[i%nch].Step(ctx, i/nch)
-		},
-		failed: func() any {
-			return corpus.StepRecord{Origin: corpus.OriginQuar, Parent: -1, Outcome: device.Crash.String()}
 		},
 		render: func(records []json.RawMessage) (string, error) {
 			recs, err := decodeRecords[corpus.StepRecord](records)
@@ -63,10 +60,9 @@ func FuzzChains(eng *campaign.Engine, p Params) []*corpus.Chain {
 			// interpreter, so a simulated compiler defect never
 			// truncates a step's footprint. Crash outcomes on the
 			// reference are mutants whose UB (e.g. an operator swap in
-			// an array-index expression) the device model contains; CI
-			// gates on quarantine records (a worker actually dying),
-			// not on contained outcomes. The defective configurations
-			// run as differential peers.
+			// an array-index expression) the device model contains:
+			// they are tallied as outcomes, not campaign failures. The
+			// defective configurations run as differential peers.
 			Ref:  device.Reference(),
 			Diff: fuzzDiffConfigs(cfgs),
 		}
@@ -97,8 +93,8 @@ func fuzzDiffConfigs(cfgs []*device.Config) []*device.Config {
 
 // fuzzFold is the aggregate state folded from a fuzz campaign's record
 // stream: the merged coverage map (the union of every step's novel-edge
-// delta — byte-identical whether the records came from one process or a
-// merged fleet), corpus sizes, and outcome tallies.
+// delta — byte-identical whether the records came from one process or
+// merged shard files), corpus sizes, and outcome tallies.
 type fuzzFold struct {
 	Cover      *exec.CoverMap
 	CorpusLen  map[int]int // chain → corpus size after its last step
@@ -150,8 +146,8 @@ func (f *fuzzFold) CorpusTotal() int {
 
 // RenderFuzz renders the fuzz campaign report: a coverage-over-time
 // table plus origin/outcome/defect-site tallies. The output is a pure
-// function of the record stream, so a merged fleet run renders byte-
-// identically to the direct run.
+// function of the record stream, so a merge of shard files renders
+// byte-identically to the direct run.
 func RenderFuzz(p Params, recs []corpus.StepRecord) string {
 	f := foldFuzz(recs)
 	var b strings.Builder

@@ -39,7 +39,7 @@ func TestFuzzCampaignDeterminism(t *testing.T) {
 	run := func() ([]byte, []uint64, [][]uint32) {
 		eng := fuzzEngine()
 		chains := FuzzChains(eng, fuzzTestParams)
-		sf, err := runShard(ctx, eng, fuzzTestParams, 0, 1, ShardRunOptions{})
+		sf, err := runShard(ctx, eng, fuzzTestParams, 0, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestFuzzShardMergeMatchesDirect(t *testing.T) {
 	}
 	var files []*ShardFile
 	for shard := 0; shard < 2; shard++ {
-		sf, err := runShard(ctx, fuzzEngine(), fuzzTestParams, shard, 2, ShardRunOptions{})
+		sf, err := runShard(ctx, fuzzEngine(), fuzzTestParams, shard, 2, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestFuzzShardMergeMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if merged != direct {
-		t.Fatalf("merged fleet output differs from direct run:\n--- direct ---\n%s--- merged ---\n%s", direct, merged)
+		t.Fatalf("merged shard output differs from direct run:\n--- direct ---\n%s--- merged ---\n%s", direct, merged)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // decoded records in case order for the table's fold.
 func campaignRecords[R any](t *testing.T, p Params) []R {
 	t.Helper()
-	sf, err := runShard(nil, campaign.Default, p, 0, 1, ShardRunOptions{})
+	sf, err := runShard(nil, campaign.Default, p, 0, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,8 @@ type ShardRecord struct {
 // ShardFile is the machine-readable partial-results file `cltables
 // -shard i/n` emits: the campaign parameters, the total case count, and
 // this shard's records (cases with index % n == i). A shard file may be
-// partial — an interrupted worker flushes whatever cases completed — and
-// the resume path (ShardRunOptions.Prior) re-runs only the missing ones.
+// partial — an interrupted run flushes whatever cases completed — and
+// the resume path (RunShard's prior file) re-runs only the missing ones.
 type ShardFile struct {
 	Schema string `json:"schema"`
 	Params
@@ -82,24 +82,13 @@ type ShardFile struct {
 	Records []ShardRecord `json:"records"`
 }
 
-// Complete reports whether the file holds every case of its slice.
-func (sf *ShardFile) Complete() bool {
-	n := 0
-	for i := sf.Shard; i < sf.Cases; i += sf.Of {
-		n++
-	}
-	return len(sf.Records) == n
-}
-
 // shardCampaign adapts one table's case list, per-case runner and fold
 // to the shard driver. run returns the case's JSON-serializable record;
-// failed synthesizes the record of a case whose worker was quarantined
-// (every observation a crash); render folds records (complete, in case
-// order) into the rendered output.
+// render folds records (complete, in case order) into the rendered
+// output.
 type shardCampaign struct {
 	cases  int
 	run    func(ctx context.Context, i int) any
-	failed func() any
 	render func(records []json.RawMessage) (string, error)
 }
 
@@ -117,7 +106,6 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 			run: func(ctx context.Context, i int) any {
 				return table1Record(ctx, eng, cfgs, p.Scale, p.Seed, p.Threads, i, n)
 			},
-			failed: func() any { return table1Failed(cfgs) },
 			render: func(records []json.RawMessage) (string, error) {
 				recs, err := decodeRecords[t1Record](records)
 				if err != nil {
@@ -135,7 +123,6 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 			run: func(ctx context.Context, i int) any {
 				return table3Record(ctx, eng, testCfgs, clean[i], variants, p.Seed, len(clean))
 			},
-			failed: func() any { return table3Failed(testCfgs) },
 			render: func(records []json.RawMessage) (string, error) {
 				recs, err := decodeRecords[t3Record](records)
 				if err != nil {
@@ -158,7 +145,6 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 			run: func(ctx context.Context, i int) any {
 				return table4Record(ctx, eng, cfgs, kernels(), p.Scale, i, n)
 			},
-			failed: func() any { return table4Failed(cfgs) },
 			render: func(records []json.RawMessage) (string, error) {
 				recs, err := decodeRecords[t4Record](records)
 				if err != nil {
@@ -180,7 +166,6 @@ func campaignFor(eng *campaign.Engine, p Params) (*shardCampaign, error) {
 			run: func(ctx context.Context, i int) any {
 				return table5Record(ctx, eng, cfgs, keys, bases()[i], p.Scale)
 			},
-			failed: func() any { return table5Failed(keys) },
 			render: func(records []json.RawMessage) (string, error) {
 				recs, err := decodeRecords[t5Record](records)
 				if err != nil {
@@ -221,35 +206,27 @@ func ParseShard(s string) (shard, of int, err error) {
 	return shard, of, nil
 }
 
-// ShardRunOptions tunes RunShardOpts beyond the defaults.
-type ShardRunOptions struct {
-	// Prior resumes a partial shard file from an earlier, interrupted run
-	// of the identical slice: its records are reused and only the missing
-	// cases execute. Must match Params/Shard/Of exactly.
-	Prior *ShardFile
-	// OnCase, when non-nil, runs on the driver goroutine after each case
-	// completes (including reused prior cases, counted up front), with
-	// the completed and total case counts of this slice. The fault-
-	// injection knob and progress reporting hang off it.
-	OnCase func(done, total int)
-}
-
-// RunShardOpts executes shard `shard` of `of` interleaved campaign slices
+// RunShard executes shard `shard` of `of` interleaved campaign slices
 // (cases with index % of == shard) and returns the partial-results file.
 // The case list itself — including execution-backed acceptance filtering
 // — is deterministic in Params, so every shard sees the identical list
-// and the merged output is byte-identical to an unsharded run. o adds
-// resume and progress options; the zero value runs the whole slice.
+// and the merged output is byte-identical to an unsharded run. A non-nil
+// prior resumes a partial file from an earlier, interrupted run of the
+// identical slice: its records are reused and only the missing cases
+// execute. It must match Params, shard and of exactly.
 //
-// Cancelling ctx stops dispatch cooperatively; RunShardOpts then returns
-// the valid partial file holding every case that completed before the
-// cancellation, together with ctx's error. Feed that file back through
-// ShardRunOptions.Prior to resume.
-func RunShardOpts(ctx context.Context, p Params, shard, of int, o ShardRunOptions) (*ShardFile, error) {
-	return runShard(ctx, campaign.Default, p, shard, of, o)
+// Cancelling ctx stops dispatch cooperatively; RunShard then returns the
+// valid partial file holding every case that completed before the
+// cancellation, together with ctx's error. Pass that file back as prior
+// to resume.
+func RunShard(ctx context.Context, p Params, shard, of int, prior *ShardFile) (*ShardFile, error) {
+	return runShard(ctx, campaign.Default, p, shard, of, prior, nil)
 }
 
-func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int, o ShardRunOptions) (*ShardFile, error) {
+// runShard is RunShard on eng. onCase, when non-nil, runs on the calling
+// goroutine after each case completes, with the completed case count of
+// the slice (reused prior cases are counted up front).
+func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int, prior *ShardFile, onCase func(done int)) (*ShardFile, error) {
 	if of < 1 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("harness: bad shard %d/%d", shard, of)
 	}
@@ -257,27 +234,25 @@ func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int
 	if err != nil {
 		return nil, err
 	}
-	prior := map[int]json.RawMessage{}
-	if o.Prior != nil {
-		pf := o.Prior
-		if pf.Params != p || pf.Shard != shard || pf.Of != of || pf.Cases != sc.cases {
+	reuse := map[int]json.RawMessage{}
+	if prior != nil {
+		if prior.Params != p || prior.Shard != shard || prior.Of != of || prior.Cases != sc.cases {
 			return nil, fmt.Errorf("harness: prior shard file is for %d/%d of a %d-case campaign %+v, not %d/%d of %d cases",
-				pf.Shard, pf.Of, pf.Cases, pf.Params, shard, of, sc.cases)
+				prior.Shard, prior.Of, prior.Cases, prior.Params, shard, of, sc.cases)
 		}
-		for _, r := range pf.Records {
-			prior[r.Index] = r.Data
+		for _, r := range prior.Records {
+			reuse[r.Index] = r.Data
 		}
 	}
 	var indices []int
 	var records []ShardRecord
 	for i := shard; i < sc.cases; i += of {
-		if raw, ok := prior[i]; ok {
+		if raw, ok := reuse[i]; ok {
 			records = append(records, ShardRecord{Index: i, Data: raw})
 		} else {
 			indices = append(indices, i)
 		}
 	}
-	total := len(indices) + len(records)
 	done := len(records)
 	type encoded struct {
 		raw json.RawMessage
@@ -307,8 +282,8 @@ func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int
 		}
 		records = append(records, ShardRecord{Index: indices[i], Data: e.raw})
 		done++
-		if o.OnCase != nil {
-			o.OnCase(done, total)
+		if onCase != nil {
+			onCase(done)
 		}
 	})
 	if encodeErr != nil {
@@ -322,33 +297,6 @@ func runShard(ctx context.Context, eng *campaign.Engine, p Params, shard, of int
 	}
 	if ctx != nil && ctx.Err() != nil {
 		return sf, ctx.Err()
-	}
-	return sf, nil
-}
-
-// QuarantineShard synthesizes the shard file of a slice whose worker the
-// fleet supervisor quarantined after exhausting its retries: every case
-// of the slice reports the campaign's failed-case record (a crash on
-// every observation), so the merged table still covers the full
-// campaign and surfaces the loss instead of aborting.
-func QuarantineShard(p Params, shard, of int) (*ShardFile, error) {
-	if of < 1 || shard < 0 || shard >= of {
-		return nil, fmt.Errorf("harness: bad shard %d/%d", shard, of)
-	}
-	sc, err := campaignFor(campaign.Default, p)
-	if err != nil {
-		return nil, err
-	}
-	sf := &ShardFile{
-		Schema: ShardSchema, Params: p,
-		Cases: sc.cases, Shard: shard, Of: of,
-	}
-	for i := shard; i < sc.cases; i += of {
-		raw, err := json.Marshal(sc.failed())
-		if err != nil {
-			return nil, err
-		}
-		sf.Records = append(sf.Records, ShardRecord{Index: i, Data: raw})
 	}
 	return sf, nil
 }
@@ -403,14 +351,6 @@ func LoadShardFile(path string) (*ShardFile, error) {
 		return nil, err
 	}
 	return &sf, nil
-}
-
-// MergeShardsNamed validates that the shard files cover every case of
-// one campaign exactly once, folds their records in case order, and
-// renders the output — byte-identical to the unsharded run. names labels
-// the files (paths, shard descriptions) in error messages.
-func MergeShardsNamed(files []*ShardFile, names []string) (string, error) {
-	return mergeShards(campaign.Default, files, names)
 }
 
 // MergeShardPaths loads every named shard file and merges them; errors
@@ -501,7 +441,7 @@ func RenderCampaign(ctx context.Context, p Params) (string, error) {
 }
 
 func renderCampaign(ctx context.Context, eng *campaign.Engine, p Params) (string, error) {
-	sf, err := runShard(ctx, eng, p, 0, 1, ShardRunOptions{})
+	sf, err := runShard(ctx, eng, p, 0, 1, nil, nil)
 	if err != nil {
 		return "", err
 	}

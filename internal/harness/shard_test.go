@@ -11,6 +11,7 @@ import (
 
 	"clfuzz/internal/campaign"
 	"clfuzz/internal/device"
+	"clfuzz/internal/store"
 )
 
 // shardParams are deliberately tiny: the property under test is byte
@@ -74,7 +75,7 @@ func TestShardMergeDeterminism(t *testing.T) {
 				// Each shard gets its own engine: shards run in separate
 				// processes in production, so nothing may leak between
 				// them for the merge to be byte-identical.
-				sf, err := runShard(nil, freshEngine(true), p, s, shards, ShardRunOptions{})
+				sf, err := runShard(nil, freshEngine(true), p, s, shards, nil, nil)
 				if err != nil {
 					t.Fatalf("table %d shard %d/%d: %v", p.Table, s, shards, err)
 				}
@@ -118,7 +119,7 @@ func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
 	}
 	files := make([]*ShardFile, 2)
 	for s := range files {
-		sf, err := runShard(nil, freshEngine(true), p, s, 2, ShardRunOptions{})
+		sf, err := runShard(nil, freshEngine(true), p, s, 2, nil, nil)
 		if err != nil {
 			t.Fatalf("shard %d/2: %v", s, err)
 		}
@@ -162,15 +163,15 @@ func TestParseShard(t *testing.T) {
 func TestShardMergeRejectsBadSets(t *testing.T) {
 	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	eng := freshEngine(true)
-	s0, err := runShard(nil, eng, p, 0, 2, ShardRunOptions{})
+	s0, err := runShard(nil, eng, p, 0, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := runShard(nil, eng, p, 1, 2, ShardRunOptions{})
+	s1, err := runShard(nil, eng, p, 1, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runShard(nil, eng, p, 2, 2, ShardRunOptions{}); err == nil {
+	if _, err := runShard(nil, eng, p, 2, 2, nil, nil); err == nil {
 		t.Error("runShard accepted an out-of-range shard index")
 	}
 	clone := func(sf *ShardFile) *ShardFile {
@@ -266,7 +267,7 @@ func TestShardMergeRejectsBadSets(t *testing.T) {
 func TestValidateShardFile(t *testing.T) {
 	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
 	eng := freshEngine(true)
-	good, err := runShard(nil, eng, p, 0, 2, ShardRunOptions{})
+	good, err := runShard(nil, eng, p, 0, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestLoadShardFile(t *testing.T) {
 	eng := freshEngine(true)
 	var paths []string
 	for s := 0; s < 2; s++ {
-		sf, err := runShard(nil, eng, p, s, 2, ShardRunOptions{})
+		sf, err := runShard(nil, eng, p, s, 2, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +362,7 @@ func TestLoadShardFile(t *testing.T) {
 // cases execute — and the result is byte-identical to a fresh run.
 func TestShardResume(t *testing.T) {
 	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24}
-	full, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{})
+	full, err := runShard(nil, freshEngine(true), p, 0, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +372,7 @@ func TestShardResume(t *testing.T) {
 	partial := *full
 	partial.Records = append([]ShardRecord(nil), full.Records[:1]...)
 	var ran int
-	resumed, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{
-		Prior:  &partial,
-		OnCase: func(done, total int) { ran++ },
-	})
+	resumed, err := runShard(nil, freshEngine(true), p, 0, 2, &partial, func(int) { ran++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +387,7 @@ func TestShardResume(t *testing.T) {
 	// A prior file from a different slice or campaign must be refused.
 	wrong := *full
 	wrong.Shard = 1
-	if _, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{Prior: &wrong}); err == nil {
+	if _, err := runShard(nil, freshEngine(true), p, 0, 2, &wrong, nil); err == nil {
 		t.Error("resume accepted a prior file from another slice")
 	}
 }
@@ -398,18 +396,16 @@ func TestShardResume(t *testing.T) {
 // a valid partial file that resumes to the byte-identical full result.
 func TestShardCancellation(t *testing.T) {
 	p := Params{Table: 4, Scale: 2, Seed: 99, Threads: 24}
-	full, err := runShard(nil, freshEngine(true), p, 0, 1, ShardRunOptions{})
+	full, err := runShard(nil, freshEngine(true), p, 0, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var flushed *ShardFile
-	partial, err := runShard(ctx, freshEngine(true), p, 0, 1, ShardRunOptions{
-		OnCase: func(done, total int) {
-			if done == 1 {
-				cancel()
-			}
-		},
+	partial, err := runShard(ctx, freshEngine(true), p, 0, 1, nil, func(done int) {
+		if done == 1 {
+			cancel()
+		}
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -424,7 +420,7 @@ func TestShardCancellation(t *testing.T) {
 	if err := ValidateShardFile(flushed, "partial"); err != nil {
 		t.Fatalf("partial file invalid: %v", err)
 	}
-	resumed, err := runShard(nil, freshEngine(true), p, 0, 1, ShardRunOptions{Prior: flushed})
+	resumed, err := runShard(nil, freshEngine(true), p, 0, 1, flushed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,33 +431,39 @@ func TestShardCancellation(t *testing.T) {
 	}
 }
 
-// TestQuarantineShard: the synthesized all-crash shard merges with real
-// shards and covers exactly the quarantined slice.
-func TestQuarantineShard(t *testing.T) {
+// TestStoreWriteFaultsInvisible: a table rendered over a store whose
+// every write fails equals the table rendered without a store. The
+// store's directory is replaced by a regular file after Open, so each
+// segment create fails, even as root, which a chmod would not ensure.
+// Each failed Put is a counted write error, never an error, a wrong row
+// or a missing row.
+func TestStoreWriteFaultsInvisible(t *testing.T) {
 	p := Params{Table: 4, Scale: 1, Seed: 7, Threads: 16}
-	real0, err := runShard(nil, freshEngine(true), p, 0, 2, ShardRunOptions{})
+	want, err := renderCampaign(nil, freshEngine(true), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := QuarantineShard(p, 1, 2)
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateShardFile(q1, "quarantine"); err != nil {
-		t.Fatalf("quarantine shard invalid: %v", err)
-	}
-	if !q1.Complete() {
-		t.Fatal("quarantine shard does not cover its slice")
-	}
-	merged, err := mergeShards(freshEngine(true), []*ShardFile{real0, q1}, nil)
-	if err != nil {
-		t.Fatalf("merge with quarantined shard: %v", err)
-	}
-	ref, err := renderCampaign(nil, freshEngine(true), p)
-	if err != nil {
+	if err := os.Remove(dir); err != nil {
 		t.Fatal(err)
 	}
-	if merged == ref {
-		t.Fatal("quarantined cases left no trace in the rendered table")
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := freshEngine(true)
+	eng.Results.AttachStore(st)
+	got, err := renderCampaign(nil, eng, p)
+	if err != nil {
+		t.Fatalf("render over a failing store: %v", err)
+	}
+	if got != want {
+		t.Fatalf("render over a failing store differs from the store-less render:\n%s\nvs\n%s", got, want)
+	}
+	if s := st.Stats(); s.WriteErrs == 0 || s.Writes != 0 {
+		t.Fatalf("store stats %+v: want failed writes only", s)
 	}
 }

@@ -92,20 +92,6 @@ func table1Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Conf
 	return rec
 }
 
-// table1Failed synthesizes the record of a case whose worker shard was
-// quarantined by the fleet supervisor: every (configuration, level)
-// observation reports a crash, so the fold counts the case against each
-// configuration instead of silently shrinking the campaign.
-func table1Failed(cfgs []*device.Config) t1Record {
-	rec := t1Record{Results: make([]t1Result, 0, 2*len(cfgs))}
-	for _, cfg := range cfgs {
-		for _, opt := range []bool{false, true} {
-			rec.Results = append(rec.Results, t1Result{Key: Key(cfg, opt), Outcome: int(device.Crash)})
-		}
-	}
-	return rec
-}
-
 // foldTable1 classifies the configurations from the per-kernel records
 // (in case order), reproducing the §7.1 thresholding. Wrong-code results
 // are judged by disagreement with the majority over all observations of

@@ -247,16 +247,6 @@ func table3Record(ctx context.Context, eng *campaign.Engine, testCfgs []*device.
 	return rec
 }
 
-// table3Failed synthesizes a benchmark row whose worker shard was
-// quarantined: every configuration cell reports a crash.
-func table3Failed(testCfgs []*device.Config) t3Record {
-	rec := t3Record{Cells: map[string]Table3Cell{}}
-	for _, cfg := range testCfgs {
-		rec.Cells[cfg.Name()] = Table3Cell{Outcome: T3Crash}
-	}
-	return rec
-}
-
 // foldTable3 assembles the table from the per-benchmark records (in
 // benchmark order).
 func foldTable3(records []t3Record) *Table3 {

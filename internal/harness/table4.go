@@ -82,12 +82,6 @@ func table4Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Conf
 	return rec
 }
 
-// table4Failed synthesizes the record of a quarantined case: a crash on
-// every (configuration, level) observation.
-func table4Failed(cfgs []*device.Config) t4Record {
-	return t4Record{Results: table1Failed(cfgs).Results}
-}
-
 // foldTable4 tallies the per-mode outcome cells from the per-kernel
 // records (in case order), with majority-vote wrong-code classification.
 func foldTable4(cfgs []*device.Config, perMode int, records []t4Record) *Table4 {

@@ -145,16 +145,6 @@ func table5Record(ctx context.Context, eng *campaign.Engine, cfgs []*device.Conf
 	return rec
 }
 
-// table5Failed synthesizes the record of a quarantined base: every
-// configuration-level key counts it as crash-inducing.
-func table5Failed(keys []string) t5Record {
-	rec := t5Record{PerKey: map[string]Table5Stats{}, Pruning: make([]int, len(emi.Grid()))}
-	for _, k := range keys {
-		rec.PerKey[k] = Table5Stats{C: 1}
-	}
-	return rec
-}
-
 // foldTable5 sums the per-base records (in base order) into the table.
 func foldTable5(keys []string, bases int, records []t5Record) *Table5 {
 	grid := emi.Grid()

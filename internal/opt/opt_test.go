@@ -264,7 +264,8 @@ func TestRotateFoldDefect(t *testing.T) {
 // builds one program for every defect set that differs only outside it.
 // The Figure 2(b) exhibit reads a swizzle of a rotate call, the Figure
 // 2(e) exhibit's source is tuned to pass the group-id gate, and a port
-// gives no fold model anything to act on.
+// gives no fold model anything to act on. A rotate counts only when both
+// its operands are literal, the shape the rotate fold acts on.
 func TestFoldDefects(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -275,6 +276,19 @@ func TestFoldDefects(t *testing.T) {
 		{"literal swizzle", `kernel void k(global ulong *out) {
 			out[0] = (ulong)((uint4)(1, 2, 3, 4)).y;
 		}`, bugs.WCSwizzleFold},
+		{"literal rotate", `kernel void k(global uint *out) {
+			out[0] = rotate(1u, 3u);
+		}`, bugs.WCRotateConstFold},
+		{"rotate of a variable", `kernel void k(global uint *out) {
+			uint x = out[1];
+			out[0] = rotate(x, 3u);
+		}`, 0},
+		{"rotate by a variable", `kernel void k(global uint *out) {
+			out[0] = rotate(1u, out[1]);
+		}`, 0},
+		{"literal rotate nested in a rotate", `kernel void k(global uint *out) {
+			out[0] = rotate(rotate(1u, 3u), out[1]);
+		}`, bugs.WCRotateConstFold},
 		{"port " + benchmarks.BFS().Name, benchmarks.BFS().Src, 0},
 	}
 	for _, c := range cases {

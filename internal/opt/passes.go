@@ -334,18 +334,21 @@ func foldSwizzle(ex *ast.Swizzle, defects bugs.Set) ast.Expr {
 
 // FoldDefects reports the defect bits EarlyFolds and Optimize can act on
 // for a checked program p with source hash hash: WCRotateConstFold when p
-// calls rotate, WCGroupIDExpr when the hash passes GroupIDGate and p calls
-// a group-id builtin, and WCSwizzleFold when p has a swizzle (sema has
-// already turned vector member accesses into swizzles). Each is a
-// superset of its model's trigger, because no pass creates a call or a
-// swizzle. A bit outside the result leaves both pipelines' output
-// unchanged, so compiles that differ only in such bits build one program.
+// has a rotate call foldRotateWrong acts on (literalRotate), WCGroupIDExpr
+// when the hash passes GroupIDGate and p calls a group-id builtin, and
+// WCSwizzleFold when p has a swizzle (sema has already turned vector
+// member accesses into swizzles). Each is a superset of its model's
+// trigger: no pass creates a call or a swizzle, and the rotate fold runs
+// first, bottom-up, so the only operand it sees turn literal is a nested
+// rotate it folded, whose own operands were literal. A bit outside the
+// result leaves both pipelines' output unchanged, so compiles that differ
+// only in such bits build one program.
 func FoldDefects(p *ast.Program, hash uint64) bugs.Set {
 	var s bugs.Set
 	fn := func(e ast.Expr) {
 		switch ex := e.(type) {
 		case *ast.Call:
-			if ex.Name == "rotate" {
+			if literalRotate(ex) {
 				s |= bugs.WCRotateConstFold
 			} else if isGroupIDBuiltin(ex.Name) {
 				s |= bugs.WCGroupIDExpr
@@ -373,13 +376,8 @@ func FoldDefects(p *ast.Program, hash uint64) bugs.Set {
 // constant-folded to 0xffffffff).
 func foldRotateWrong(e ast.Expr) ast.Expr {
 	ex, ok := e.(*ast.Call)
-	if !ok || ex.Name != "rotate" || len(ex.Args) != 2 {
+	if !ok || !literalRotate(ex) {
 		return e
-	}
-	for _, a := range ex.Args {
-		if !allLiteral(a) {
-			return e
-		}
 	}
 	switch rt := ex.Type().(type) {
 	case *cltypes.Scalar:
@@ -393,6 +391,12 @@ func foldRotateWrong(e ast.Expr) ast.Expr {
 		return vl
 	}
 	return e
+}
+
+// literalRotate reports whether ex is a rotate call whose two operands are
+// all literal: the shape foldRotateWrong folds.
+func literalRotate(ex *ast.Call) bool {
+	return ex.Name == "rotate" && len(ex.Args) == 2 && allLiteral(ex.Args[0]) && allLiteral(ex.Args[1])
 }
 
 func allLiteral(e ast.Expr) bool {

@@ -1,7 +1,7 @@
 // Package store is the disk-backed tier of the campaign result cache: a
-// content-addressed blob store that any number of processes — fleet
-// workers, CI shards, warm reruns — share through one directory, with no
-// coordination beyond each handle appending to a file of its own.
+// content-addressed blob store that any number of processes — shard
+// runs, warm reruns — share through one directory, with no coordination
+// beyond each handle appending to a file of its own.
 //
 // The store maps a 64-bit address (the caller folds its full logical key
 // into it) to an opaque payload. A handle appends records to its own
@@ -20,8 +20,8 @@
 //
 // The index is built at Open only. A handle does not see what other
 // handles append after it opened: processes that share a directory
-// mid-campaign (fleet workers) each re-execute what their siblings
-// stored meanwhile, and replay it all on the next run.
+// mid-campaign (concurrent -shard runs) each re-execute what their
+// siblings stored meanwhile, and replay it all on the next run.
 //
 // The store is bounded. A handle moves to a fresh segment before a
 // record would take its segment past segmentBytes, and at Open and at
